@@ -96,9 +96,7 @@ let write_obj fs path obj = Fs.write_file fs path (Objfile.serialize obj)
 
 let spawn_children k ~prog ~env ~workers ~parent =
   List.init workers (fun i ->
-      let child = Kernel.spawn_exec k ~name:(Printf.sprintf "worker%d" i) ~env prog in
-      child.Proc.parent <- parent.Proc.pid;
-      child)
+      Kernel.spawn_exec k ~name:(Printf.sprintf "worker%d" i) ~env ~parent:parent.Proc.pid prog)
 
 let wait_all k proc n =
   for _ = 1 to n do

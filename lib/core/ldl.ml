@@ -1038,7 +1038,7 @@ let install k =
       Hashtbl.reset t.poisoned;
       Link_plan.clear_obj_cache ();
       Objfile.clear_index_memo ();
-      Search.clear_locate_cache ();
+      Search.clear_locate_cache (Kernel.fs k);
       t.stable_seeded <- false;
       Hashtbl.reset t.stable_plans;
       if !Stable_link.enabled then seed_stable t);

@@ -46,12 +46,11 @@ let has_slash name = String.contains name '/'
    touches the cost counters, so serving a memoized answer (including a
    negative one) is invisible to the simulated machine.  Entries are
    validated against the owning FS's mutation generation — any
-   write/create/rename anywhere invalidates conservatively. *)
-let locate_cache : (int * string * string * string, int * string option) Hashtbl.t =
-  Hashtbl.create 256
-
-let clear_locate_cache () =
-  Hashtbl.reset locate_cache;
+   write/create/rename anywhere invalidates conservatively.  The table
+   is the FS's own ({!Fs.lookups}), not a global one: cluster machines
+   link on different domains at once. *)
+let clear_locate_cache fs =
+  Hashtbl.reset (Fs.lookups fs);
   Hashtbl.reset (Domain.DLS.get llp_memo_key)
 
 let locate_uncached ctx ~dirs name =
@@ -87,7 +86,8 @@ let locate ctx ~dirs name =
   if not !cache_enabled then locate_uncached ctx ~dirs name
   else begin
     let gen = Fs.generation ctx.fs in
-    let key = (Fs.uid ctx.fs, Path.to_string ctx.cwd, dirs_key dirs, name) in
+    let locate_cache = Fs.lookups ctx.fs in
+    let key = (Path.to_string ctx.cwd, dirs_key dirs, name) in
     match Hashtbl.find_opt locate_cache key with
     | Some (g, result) when g = gen ->
       Hemlock_util.(Stats.cur ()).search_cache_hits <-

@@ -166,6 +166,8 @@ let block_syscall ?(why = "syscall retry") cpu cond =
 
 (* --- process table ------------------------------------------------------ *)
 
+let sched t = t.sched
+
 let find_proc t pid = Sched.find t.sched pid
 
 let processes t = Sched.processes t.sched
@@ -187,12 +189,12 @@ let kill t proc ~reason =
     (Printf.sprintf "[kernel] pid %d (%s) killed: %s\n" proc.Proc.pid proc.Proc.comm reason);
   exit_proc t proc (-1)
 
-let spawn_native t ?(name = "native") ?(env = []) ?(cwd = Path.root) body =
+let spawn_native t ?(name = "native") ?(env = []) ?(cwd = Path.root) ?(parent = 0) body =
   let pid = Sched.fresh_pid t.sched in
   let proc =
     {
       Proc.pid;
-      parent = 0;
+      parent;
       space = As.create ();
       cwd;
       env;
@@ -504,8 +506,8 @@ let set_isa_entry t proc ~entry =
   proc.Proc.body <- Proc.Isa cpu;
   proc.Proc.state <- Proc.Runnable
 
-let spawn_exec t ?(name = "a.out") ?(env = []) ?(cwd = Path.root) path =
-  let proc = spawn_native t ~name ~env ~cwd (fun _ _ -> 0) in
+let spawn_exec t ?(name = "a.out") ?(env = []) ?(cwd = Path.root) ?parent path =
+  let proc = spawn_native t ~name ~env ~cwd ?parent (fun _ _ -> 0) in
   exec t proc path;
   proc
 
@@ -537,12 +539,8 @@ let fork_isa t proc =
     List.iter (fun hook -> hook ~parent:proc ~child) (List.rev t.fork_hooks);
     child
 
-let children t pid =
-  List.filter (fun p -> p.Proc.parent = pid) (processes t)
-
 let reap t proc =
-  let kids = children t proc.Proc.pid in
-  match List.find_opt Proc.is_zombie kids with
+  match Sched.zombie_child t.sched proc.Proc.pid with
   | Some z -> (
     match z.Proc.state with
     | Proc.Zombie code ->
@@ -552,10 +550,12 @@ let reap t proc =
     | Proc.Runnable | Proc.Blocked _ -> assert false)
   | None -> None
 
+let has_zombie_child t proc = Sched.zombie_child t.sched proc.Proc.pid <> None
+
 let waitpid t proc =
-  if children t proc.Proc.pid = [] then raise (os_error "waitpid" Errno.ECHILD);
-  Proc.wait_until ~why:"waitpid: a child to exit" (fun () ->
-      List.exists Proc.is_zombie (children t proc.Proc.pid));
+  if not (Sched.has_children t.sched proc.Proc.pid) then
+    raise (os_error "waitpid" Errno.ECHILD);
+  Proc.wait_until ~why:"waitpid: a child to exit" (fun () -> has_zombie_child t proc);
   (Stats.cur ()).syscalls <- (Stats.cur ()).syscalls + 1;
   Option.get (reap t proc)
 
@@ -611,21 +611,13 @@ let dispatch t proc cpu =
     Cpu.set_reg cpu Reg.v0 child.Proc.pid
   end
   else if v0 = Sysno.wait then begin
-    if children t proc.Proc.pid = [] then set_errno cpu Errno.ECHILD
-    else
-      match reap t proc with
-      | Some (pid, code) ->
-        Cpu.set_reg cpu Reg.v0 pid;
-        Cpu.set_reg cpu Reg.v1 code
-      | None ->
-        (* Block and retry the syscall: rewind past the trap. *)
-        cpu.Cpu.pc <- cpu.Cpu.pc - 4;
-        raise
-          (Isa_blocked
-             {
-               cond = (fun () -> List.exists Proc.is_zombie (children t proc.Proc.pid));
-               why = "wait: a child to exit";
-             })
+    match reap t proc with
+    | Some (pid, code) ->
+      Cpu.set_reg cpu Reg.v0 pid;
+      Cpu.set_reg cpu Reg.v1 code
+    | None when not (Sched.has_children t.sched proc.Proc.pid) -> set_errno cpu Errno.ECHILD
+    | None ->
+      block_syscall ~why:"wait: a child to exit" cpu (fun () -> has_zombie_child t proc)
   end
   else if v0 = Sysno.getpid then Cpu.set_reg cpu Reg.v0 proc.Proc.pid
   else if v0 = Sysno.yield then raise Isa_yield

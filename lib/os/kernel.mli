@@ -108,12 +108,15 @@ val register_binfmt :
 
 (** [spawn_native t ~name body] creates a runnable native process.  Its
     body runs under the scheduler's effect handler, so it may call the
-    blocking kernel operations below. *)
+    blocking kernel operations below.  [parent] (default 0: top level)
+    is the pid whose {!waitpid} or ISA [wait] reaps it; it is fixed at
+    spawn. *)
 val spawn_native :
   t ->
   ?name:string ->
   ?env:(string * string) list ->
   ?cwd:Hemlock_sfs.Path.t ->
+  ?parent:int ->
   (t -> Proc.t -> int) ->
   Proc.t
 
@@ -143,12 +146,14 @@ val spawn_blank :
     starting at [entry], and makes the process runnable. *)
 val set_isa_entry : t -> Proc.t -> entry:int -> unit
 
-(** [spawn_exec t ~name path] = spawn a fresh process + [exec]. *)
+(** [spawn_exec t ~name path] = spawn a fresh process + [exec].
+    [parent] is as for {!spawn_native}. *)
 val spawn_exec :
   t ->
   ?name:string ->
   ?env:(string * string) list ->
   ?cwd:Hemlock_sfs.Path.t ->
+  ?parent:int ->
   string ->
   Proc.t
 
@@ -162,7 +167,13 @@ val fork_isa : t -> Proc.t -> Proc.t
 val add_fork_hook : t -> (parent:Proc.t -> child:Proc.t -> unit) -> unit
 
 val find_proc : t -> int -> Proc.t option
+
+(** Every process, zombies included, in pid order (built on demand). *)
 val processes : t -> Proc.t list
+
+(** The scheduler under {!run} and {!step}: its run list, child index
+    and work counter, and passes driven by hand with {!run_one}. *)
+val sched : t -> Sched.t
 
 (** Terminate a process abnormally. *)
 val kill : t -> Proc.t -> reason:string -> unit
@@ -187,6 +198,11 @@ val run : ?max_ticks:int -> t -> unit
     [`Done] — only zombies and blocked daemons remain.  {!Cluster} uses
     this to interleave several machines. *)
 val step : t -> [ `Progress | `Idle | `Done ]
+
+(** Give one process its quantum, as a pass does: step an ISA cpu or
+    resume a native continuation.  Ticks and context switches are the
+    pass's to bill ({!Sched.step}). *)
+val run_one : t -> Proc.t -> unit
 
 (** Blocked non-daemon processes with their wait reasons — the would-be
     {!Deadlock} payload.  {!Cluster} aggregates these across machines. *)

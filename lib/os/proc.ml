@@ -16,7 +16,7 @@ type body = Isa of Hemlock_isa.Cpu.t | Native of native
 
 type t = {
   pid : int;
-  mutable parent : int;
+  parent : int;
   mutable space : Hemlock_vm.Address_space.t;
   mutable cwd : Hemlock_sfs.Path.t;
   mutable env : (string * string) list;

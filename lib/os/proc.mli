@@ -16,7 +16,7 @@ type state =
   | Blocked of { cond : unit -> bool; why : string }
       (** runnable again when [cond] holds; [why] is the human-readable
           wait reason surfaced by deadlock diagnostics *)
-  | Zombie of int  (** exited with code, not yet reaped *)
+  | Zombie of int  (** exited with code, not yet reaped; final *)
 
 type outcome = Finished of int | Crashed of exn | Paused
 
@@ -31,7 +31,9 @@ type body = Isa of Hemlock_isa.Cpu.t | Native of native
 
 type t = {
   pid : int;
-  mutable parent : int;
+  parent : int;
+      (** pid of the parent, 0 for a top-level process; fixed at spawn
+          because the scheduler indexes children by it *)
   mutable space : Hemlock_vm.Address_space.t;
   mutable cwd : Hemlock_sfs.Path.t;
   mutable env : (string * string) list;

@@ -1,6 +1,13 @@
 (** The scheduler: process table, pids, daemons, the round-robin run
     loop, and deadlock detection.
 
+    A pass costs O(live processes) and a wait lookup O(the caller's
+    children), however many exited processes the table still holds:
+    the run list keeps only processes that have not exited, in pid
+    order, and a per-parent index keeps each process's unreaped
+    children.  A zombie stays in the pid table (for {!find},
+    {!processes} and its parent's {!zombie_child}) until reaped.
+
     What a quantum {e does} (stepping an ISA cpu, resuming a native
     continuation) stays in {!Kernel}; this layer decides {e who} runs,
     wakes blocked processes whose conditions hold, and diagnoses the
@@ -21,15 +28,39 @@ type t
 
 val create : unit -> t
 val fresh_pid : t -> int
+
+(** Enter a process into the table, the run list and its parent's
+    child index.  Pids must be added in increasing order, as
+    {!fresh_pid} hands them out; [Proc.parent] is read once, here. *)
 val add : t -> Proc.t -> unit
 
-(** Forget a pid entirely (reaping); also clears daemon status. *)
+(** Forget a zombie's pid entirely (reaping); also clears daemon
+    status. *)
 val remove : t -> int -> unit
 
 val find : t -> int -> Proc.t option
 
-(** All processes, sorted by pid — the round-robin order. *)
+(** Every process in the table, zombies included, sorted by pid.  Built
+    on demand (O(n log n)); the scheduler itself never calls it. *)
 val processes : t -> Proc.t list
+
+(** The run list a pass walks: processes that have not exited, in pid
+    order. *)
+val live : t -> Proc.t list
+
+(** [children t pid]: [pid]'s unreaped children, in pid order. *)
+val children : t -> int -> Proc.t list
+
+(** [has_children t pid] = [children t pid <> []], in O(1). *)
+val has_children : t -> int -> bool
+
+(** The lowest-pid zombie among [pid]'s children, if any — the one a
+    wait reaps. *)
+val zombie_child : t -> int -> Proc.t option
+
+(** Process records examined so far by the run-list walks and
+    {!zombie_child}: a measure of scheduler work that needs no clock. *)
+val visits : t -> int
 
 val set_daemon : t -> Proc.t -> unit
 val is_daemon : t -> int -> bool
@@ -44,7 +75,8 @@ val blocked_nondaemons : t -> blocked list
 (** One pass: wake what can wake, then give every runnable process a
     quantum via [run_one].  [`Progress] — something ran; [`Idle] —
     nothing runnable but non-daemons are blocked; [`Done] — only
-    zombies and blocked daemons remain. *)
+    zombies and blocked daemons remain.  Processes added during the
+    pass first run in the next one. *)
 val step : t -> run_one:(Proc.t -> unit) -> [ `Progress | `Idle | `Done ]
 
 (** Like {!step}, but billing for {e every} dispatched quantum (ticks

@@ -65,18 +65,15 @@ type t = {
   (* the kernel's address→segment index: linear like the prototype's
      table while small, a B-tree past 1024 entries (Addr_index.Auto) *)
   slot_used : bool array; (* slot allocation bitmap for the 32-bit layout *)
-  uid : int; (* distinguishes file systems in cross-kernel caches *)
   mutable generation : int; (* bumped by every namespace/content mutation *)
   mutable journal : (int * intent) list; (* pending intents, newest first *)
   mutable next_jid : int;
+  lookups : (string * string * string, int * string option) Hashtbl.t;
 }
 
-(* atomic: file systems are created on any domain (cluster boot) *)
-let next_uid = Atomic.make 0
-
-let uid t = t.uid
-
 let generation t = t.generation
+
+let lookups t = t.lookups
 
 let touch t = t.generation <- t.generation + 1
 
@@ -101,10 +98,10 @@ let create () =
       next_ino = 4096; (* normal-partition inodes; shared inodes are slots 0..1023 *)
       addr_index = Addr_index.create Addr_index.Auto;
       slot_used = Array.make Layout.shared_slots false;
-      uid = Atomic.fetch_and_add next_uid 1 + 1;
       generation = 0;
       journal = [];
       next_jid = 1;
+      lookups = Hashtbl.create 64;
     }
   in
   let add name = Hashtbl.replace t.root.entries name (new_dir t) in

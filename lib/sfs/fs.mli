@@ -46,10 +46,6 @@ type stat = {
     [/etc] and [/home]. *)
 val create : unit -> t
 
-(** A process-wide unique id for this file system, so host-side caches
-    keyed on paths can tell one simulated machine's FS from another's. *)
-val uid : t -> int
-
 (** Mutation epoch: bumped by every path-level mutation ([mkdir],
     [create_file], [write_file], [append_file], [symlink], [hard_link],
     [unlink], [rmdir], [rename]).  Host-side caches of derived data
@@ -66,6 +62,14 @@ val uid : t -> int
     ([Segment.id], [Segment.version]), which every content write does
     bump.  See {!Hemlock_linker.Link_plan} for the discipline. *)
 val generation : t -> int
+
+(** This file system's path-lookup memo, filled by
+    {!Hemlock_linker.Search.locate}: (cwd, search path, name) to the
+    {!generation} an answer was computed at and the answer.  Living on
+    the file system, it shares the file system's lifetime and the
+    exclusion its machine already gives it, so machines on different
+    domains never touch one table, and a reboot drops only its own. *)
+val lookups : t -> (string * string * string, int * string option) Hashtbl.t
 
 (** {1 Path-level operations}
 

@@ -187,3 +187,20 @@ dune exec bench/main.exe -- perf-net
 
 echo "== perf-net (clusters on 4 domains: HEMLOCK_DOMAINS=4) =="
 HEMLOCK_DOMAINS=4 dune exec bench/main.exe -- perf-net
+
+echo "== hembench self-test (metric names and units, checks, sabotage, env guard) =="
+python3 hembench/run.py --self-test
+
+# A run reports "correct": false when any op fails its check or when its
+# billed simulated costs differ from the digest recorded in
+# hembench/billed.txt, so billed-cost drift fails here, not only in the
+# benchmark pipeline.
+echo "== hembench (one untraced seed-1 run per workload; gate: \"correct\": true) =="
+bench_spec() { python3 -c "import json; s = json.load(open('BENCHMARK.json')); print($1)"; }
+secs=$(bench_spec 's["run_seconds"]')
+for w in $(bench_spec '" ".join(w["name"] for w in s["workloads"])'); do
+  python3 hembench/run.py --workload "$w" --seed 1 --seconds "$secs" --trace 0 | tail -n 1 \
+    | python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.stdin.read())["correct"] else 1)' \
+    || { echo "hembench $w: checks failed"; exit 1; }
+  echo "hembench $w: correct"
+done

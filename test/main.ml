@@ -12,6 +12,7 @@ let () =
       ("obj", Test_obj.suite);
       ("cc", Test_cc.suite);
       ("os", Test_os.suite);
+      ("sched", Test_sched.suite);
       ("errno", Test_errno.suite);
       ("linker", Test_linker.suite);
       ("linkfast", Test_linkfast.suite);

@@ -85,9 +85,8 @@ let waitpid_reaps () =
   ignore
     (Kernel.spawn_native k ~name:"parent" (fun k proc ->
          let child =
-           Kernel.spawn_native k ~name:"child" (fun _ _ -> 5)
+           Kernel.spawn_native k ~name:"child" ~parent:proc.Proc.pid (fun _ _ -> 5)
          in
-         child.Proc.parent <- proc.Proc.pid;
          seen := Kernel.waitpid k proc;
          check_bool "child gone from table" true (Kernel.find_proc k child.Proc.pid = None);
          0));
@@ -306,13 +305,11 @@ let exec_resets_image () =
   ignore (link k ~dir:"/home/t" ~specs:[ ("two.o", Sharing.Static_private) ] "p2");
   ignore
     (Kernel.spawn_native k ~name:"execer" (fun k proc ->
-         let child = Kernel.spawn_exec k "/home/t/p1" in
-         child.Proc.parent <- proc.Proc.pid;
+         ignore (Kernel.spawn_exec k ~parent:proc.Proc.pid "/home/t/p1");
          ignore (Kernel.waitpid k proc);
          (* Re-exec the same process object with a different image. *)
-         let child2 = Kernel.spawn_exec k "/home/t/p2" in
+         let child2 = Kernel.spawn_exec k ~parent:proc.Proc.pid "/home/t/p2" in
          Kernel.exec k child2 "/home/t/p1";
-         child2.Proc.parent <- proc.Proc.pid;
          ignore (Kernel.waitpid k proc);
          0));
   Kernel.console_clear k;

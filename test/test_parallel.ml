@@ -11,6 +11,7 @@ module Range_lock = Hemlock_vm.Range_lock
 module Cluster = Hemlock_os.Cluster
 module Net = Hemlock_os.Net
 module Errno = Hemlock_os.Errno
+module Modgen = Hemlock_apps.Modgen
 
 (* Matches Range_lock's own parse of the kill switch: some properties
    only hold at range granularity. *)
@@ -292,6 +293,55 @@ let cluster_lockstep () =
   check_int "context switches" d1.Stats.context_switches d4.Stats.context_switches;
   check_int "cycles" (Stats.cycles d1) (Stats.cycles d4)
 
+(* Every machine lazy-links a deep module chain and reboots, over and
+   over, while the other machines do the same on other domains.  Path
+   lookups are memoised per file system, so neither a concurrent link
+   nor another machine's reboot can touch a machine's lookups: its
+   console, billed costs and locate-cache hits are the same at any
+   domain count. *)
+let cluster_link_reboot ~domains =
+  let machines = 4 and modules = 6 and rounds = 3 in
+  let c = Cluster.create ~profile:Net.Ideal ~machines () in
+  for i = 0 to machines - 1 do
+    let k = Cluster.machine c i in
+    let ldl = Ldl.install k in
+    Hemlock_runtime.Sync.install k;
+    Fs.mkdir (Kernel.fs k) "/home/lib";
+    ignore (Modgen.install ~deep:true ldl ~dir:"/home/lib" ~modules);
+    Modgen.link_driver ~deep:modules ldl ~dir:"/home/lib" ~out:"/home/d/prog"
+      ~used:(modules - 1 - (i mod 2));
+    ignore
+      (Kernel.spawn_native k ~name:"relinker" (fun k proc ->
+           for _ = 1 to rounds do
+             ignore (Kernel.spawn_exec k ~parent:proc.Proc.pid "/home/d/prog");
+             ignore (Kernel.waitpid k proc);
+             Kernel.reboot k
+           done;
+           0))
+  done;
+  let before = Stats.snapshot () in
+  Cluster.run ~domains c;
+  let d = Stats.diff ~before ~after:(Stats.snapshot ()) in
+  (Array.init machines (fun i -> Kernel.console (Cluster.machine c i)), d)
+
+let cluster_link_reboot_lockstep () =
+  let obs1, d1 = cluster_link_reboot ~domains:1 in
+  let obs4, d4 = cluster_link_reboot ~domains:4 in
+  Array.iteri
+    (fun i t1 ->
+      let want = string_of_int (Modgen.expected ~modules:6 ~used:(5 - (i mod 2))) in
+      check_string (Printf.sprintf "machine %d output" i) (String.concat "" [ want; want; want ]) t1;
+      check_string (Printf.sprintf "machine %d at 4 domains" i) t1 obs4.(i))
+    obs1;
+  if !Search.cache_enabled then
+    check_bool "lookups served from the cache" true (d1.Stats.search_cache_hits > 0);
+  check_int "locate-cache hits" d1.Stats.search_cache_hits d4.Stats.search_cache_hits;
+  check_int "symbols resolved" d1.Stats.symbols_resolved d4.Stats.symbols_resolved;
+  check_int "instructions" d1.Stats.instructions d4.Stats.instructions;
+  check_int "faults" d1.Stats.faults d4.Stats.faults;
+  check_int "syscalls" d1.Stats.syscalls d4.Stats.syscalls;
+  check_int "cycles" (Stats.cycles d1) (Stats.cycles d4)
+
 let cluster_deadlock_tagged () =
   let c = Cluster.create ~profile:Net.Ideal ~machines:2 () in
   ignore
@@ -319,5 +369,7 @@ let suite =
     test "kernel: run_par = sequential run (codes, costs)" run_par_matches_sequential;
     test "kernel: enqueue_net backpressure, no phantom billing" enqueue_net_backpressure;
     test "cluster: 4-domain run = single-domain oracle" cluster_lockstep;
+    test "cluster: lazy links and reboots on 4 domains = single-domain oracle"
+      cluster_link_reboot_lockstep;
     test "cluster: deadlock reports machine-tagged processes" cluster_deadlock_tagged;
   ]
