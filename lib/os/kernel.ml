@@ -174,15 +174,31 @@ let processes t = Sched.processes t.sched
 
 let set_daemon t proc = Sched.set_daemon t.sched proc
 
+(* Reaping: the pid leaves the table; the caller's [Proc.t] keeps its
+   [Zombie code]. *)
+let drop t pid =
+  Sched.remove t.sched pid;
+  Hashtbl.remove t.segv_handlers pid
+
+(* Exit reclaims what nothing can read any more.  The dead space leaves
+   every VmObject and forgets its private ones; its mapping table
+   survives for post-mortem inspection, and segment refcounts stay (the
+   no-release-on-exit rule).  A zombie is kept only while a live parent
+   may still wait for it: the process takes its zombie children with
+   it, and is reaped itself when its parent is 0 (pids start at 1, so
+   [find] misses), gone, or a zombie.  Nothing is billed: no syscall
+   was made. *)
 let exit_proc t proc code =
   proc.Proc.state <- Proc.Zombie code;
-  (* Detach the dead space from every VmObject so eviction stops
-     chasing it; the mapping table itself survives for post-mortem
-     inspection.  Segment refcounts stay (the documented
-     no-release-on-exit rule). *)
-  As.detach_all proc.Proc.space;
+  As.drop_objects proc.Proc.space;
   Vfs.close_all t.vfs ~pid:proc.Proc.pid;
-  Vfs.release_locks t.vfs ~pid:proc.Proc.pid
+  Vfs.release_locks t.vfs ~pid:proc.Proc.pid;
+  List.iter
+    (fun z -> Hashtbl.remove t.segv_handlers z.Proc.pid)
+    (Sched.remove_zombie_children t.sched proc.Proc.pid);
+  match Sched.find t.sched proc.Proc.parent with
+  | Some parent when not (Proc.is_zombie parent) -> ()
+  | Some _ | None -> drop t proc.Proc.pid
 
 let kill t proc ~reason =
   Buffer.add_string t.console_buf
@@ -544,8 +560,7 @@ let reap t proc =
   | Some z -> (
     match z.Proc.state with
     | Proc.Zombie code ->
-      Sched.remove t.sched z.Proc.pid;
-      Hashtbl.remove t.segv_handlers z.Proc.pid;
+      drop t z.Proc.pid;
       Some (z.Proc.pid, code)
     | Proc.Runnable | Proc.Blocked _ -> assert false)
   | None -> None

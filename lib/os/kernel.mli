@@ -166,19 +166,42 @@ val fork_isa : t -> Proc.t -> Proc.t
     to clone its per-process link state. *)
 val add_fork_hook : t -> (parent:Proc.t -> child:Proc.t -> unit) -> unit
 
+(** {2 Who reaps what, and when}
+
+    A process that exits becomes [Zombie code] and stays in the table
+    only while a live parent may still wait for it:
+    - a live parent's zombie children stay until it reaps them, lowest
+      pid first, with {!waitpid} or the ISA [wait] syscall;
+    - a process whose parent is 0 (top level), gone from the table or a
+      zombie itself is reaped the moment it exits, as Unix's init would
+      — nothing is billed, since no syscall was made;
+    - an exiting process takes its zombie children with it; its live
+      children are reaped at their own exit.
+
+    Reaping only drops the pid from the table: the {!Proc.t} a caller
+    holds keeps [state = Zombie code] and its address space's mapping
+    table, so exit codes and [--layout]-style post-mortem reads keep
+    working.  At exit (and when exec replaces an image) the dead space
+    also drops its pager state ({!Hemlock_vm.Address_space.drop_objects}). *)
+
+(** The process with this pid, if it is still in the table: live, or a
+    zombie a live parent has not yet reaped. *)
 val find_proc : t -> int -> Proc.t option
 
-(** Every process, zombies included, in pid order (built on demand). *)
+(** Every process in the table — live ones and unreaped zombies — in
+    pid order (built on demand). *)
 val processes : t -> Proc.t list
 
 (** The scheduler under {!run} and {!step}: its run list, child index
     and work counter, and passes driven by hand with {!run_one}. *)
 val sched : t -> Sched.t
 
-(** Terminate a process abnormally. *)
+(** Terminate a process abnormally: exit code [-1], reaped as any exit
+    is. *)
 val kill : t -> Proc.t -> reason:string -> unit
 
-(** Native blocking wait; returns (pid, exit code).
+(** Native blocking wait: reaps the caller's lowest-pid zombie child;
+    returns (pid, exit code).
     @raise Os_error ([ECHILD]) if the process has no children. *)
 val waitpid : t -> Proc.t -> (int * int)
 

@@ -16,7 +16,11 @@ type state =
   | Blocked of { cond : unit -> bool; why : string }
       (** runnable again when [cond] holds; [why] is the human-readable
           wait reason surfaced by deadlock diagnostics *)
-  | Zombie of int  (** exited with code, not yet reaped; final *)
+  | Zombie of int
+      (** exited with code; final.  The record keeps this state after
+          the kernel reaps the pid (at its parent's wait, or at once when
+          no live parent can wait), so whoever holds it can still read
+          the exit code. *)
 
 type outcome = Finished of int | Crashed of exn | Paused
 

@@ -61,17 +61,29 @@ let add t proc =
   t.born <- proc :: t.born;
   Hashtbl.replace t.kids proc.Proc.parent (proc :: kids_of t proc.Proc.parent)
 
+(* [proc] is a zombie: the next walk drops it from the run list. *)
+let drop_zombie t proc =
+  assert (Proc.is_zombie proc);
+  Hashtbl.remove t.proc_table proc.Proc.pid;
+  Hashtbl.remove t.daemons proc.Proc.pid
+
+let set_kids t pid = function
+  | [] -> Hashtbl.remove t.kids pid
+  | kids -> Hashtbl.replace t.kids pid kids
+
 let remove t pid =
   match Hashtbl.find_opt t.proc_table pid with
   | None -> ()
-  | Some proc -> (
-    (* a zombie: the next walk drops it from the run list *)
-    assert (Proc.is_zombie proc);
-    Hashtbl.remove t.proc_table pid;
-    Hashtbl.remove t.daemons pid;
-    match List.filter (fun p -> p != proc) (kids_of t proc.Proc.parent) with
-    | [] -> Hashtbl.remove t.kids proc.Proc.parent
-    | siblings -> Hashtbl.replace t.kids proc.Proc.parent siblings)
+  | Some proc ->
+    drop_zombie t proc;
+    set_kids t proc.Proc.parent
+      (List.filter (fun p -> p != proc) (kids_of t proc.Proc.parent))
+
+let remove_zombie_children t pid =
+  let zombies, live = List.partition Proc.is_zombie (kids_of t pid) in
+  List.iter (drop_zombie t) zombies;
+  set_kids t pid live;
+  zombies
 
 let find t pid = Hashtbl.find_opt t.proc_table pid
 

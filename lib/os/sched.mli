@@ -6,7 +6,9 @@
     the run list keeps only processes that have not exited, in pid
     order, and a per-parent index keeps each process's unreaped
     children.  A zombie stays in the pid table (for {!find},
-    {!processes} and its parent's {!zombie_child}) until reaped.
+    {!processes} and its parent's {!zombie_child}) until reaped; this
+    layer only keeps the table, and {!Kernel} decides when to reap
+    (at a wait, or at exit when no live parent can wait).
 
     What a quantum {e does} (stepping an ISA cpu, resuming a native
     continuation) stays in {!Kernel}; this layer decides {e who} runs,
@@ -34,9 +36,17 @@ val fresh_pid : t -> int
     {!fresh_pid} hands them out; [Proc.parent] is read once, here. *)
 val add : t -> Proc.t -> unit
 
-(** Forget a zombie's pid entirely (reaping); also clears daemon
-    status. *)
+(** Reap a zombie: its pid leaves the table and its parent's child
+    index, and loses daemon status.  The {!Proc.t} itself is untouched
+    (it stays [Zombie code] for whoever holds it); only {!find},
+    {!processes} and {!children} stop returning it.  No-op for a pid
+    not in the table. *)
 val remove : t -> int -> unit
+
+(** [remove_zombie_children t pid] reaps every zombie child of [pid] at
+    once, in O([pid]'s children), and returns them; its live children
+    stay indexed under [pid]. *)
+val remove_zombie_children : t -> int -> Proc.t list
 
 val find : t -> int -> Proc.t option
 

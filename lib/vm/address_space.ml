@@ -175,20 +175,25 @@ let unmap t addr =
         invalidate t)
 
 (* Drop every object attachment so eviction stops invalidating a dead
-   space.  Process exit uses this alone: the mapping table survives for
-   post-mortem inspection (reads stay correct — the segments hold the
-   contents regardless of residency).  Segment page refcounts are
-   deliberately {e not} released — see the rule in [Segment]. *)
-let detach_all t =
+   space, and forget the pager objects of its private mappings: a
+   private segment belongs to this space alone (fork copies it), so
+   once the space is dead nothing can fault its pages in again.  Public
+   objects are shared page caches and stay registered.  Process exit
+   uses this alone: the mapping table survives for post-mortem
+   inspection.  Segment page refcounts are deliberately {e not}
+   released — see the rule in [Segment]. *)
+let drop_objects t =
   Interval_map.fold
-    (fun _ _ m () -> Vm_object.detach m.obj ~uid:t.uid)
+    (fun _ _ m () ->
+      Vm_object.detach m.obj ~uid:t.uid;
+      match m.share with Private -> Vm_object.forget m.seg | Public -> ())
     t.table ()
 
 (* Full deterministic teardown: exec discarding the replaced image. *)
 let teardown t =
   Range_lock.with_range t.rlock ~lo:whole_lo ~hi:whole_hi Range_lock.Exclusive
     (fun () ->
-      detach_all t;
+      drop_objects t;
       swap_table t (fun _ -> Interval_map.empty);
       invalidate t)
 

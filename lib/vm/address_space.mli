@@ -88,14 +88,18 @@ val map :
     none), detaching its {!Vm_object.t}. *)
 val unmap : t -> int -> unit
 
-(** [detach_all t] drops every {!Vm_object.t} attachment (eviction
-    stops invalidating this space) but keeps the mapping table — what
-    process exit wants, so a zombie's mappings stay inspectable.
-    Segment page refcounts are deliberately {e not} released (see the
-    rule in {!Segment}). *)
-val detach_all : t -> unit
+(** [drop_objects t] drops every {!Vm_object.t} attachment (eviction
+    stops invalidating this space) and {!Vm_object.forget}s the object
+    of every [Private] mapping's segment — the kernel never maps a
+    private segment into a second space (fork copies it), so its pager
+    state is garbage once this space is dead.  [Public] objects are
+    shared and stay.  The mapping table is kept — what process exit
+    wants, so a zombie's mappings stay inspectable.  Segment page
+    refcounts are deliberately {e not} released (see the rule in
+    {!Segment}). *)
+val drop_objects : t -> unit
 
-(** [teardown t] = {!detach_all} plus unmapping everything — the
+(** [teardown t] = {!drop_objects} plus unmapping everything — the
     deterministic teardown for exec discarding the replaced image. *)
 val teardown : t -> unit
 

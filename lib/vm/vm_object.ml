@@ -73,18 +73,25 @@ let npages seg = (Segment.max_size seg + Layout.page_size - 1) lsr Layout.page_s
 
 (* --- registry -------------------------------------------------------- *)
 
-(* Objects are never removed when a segment dies (the simulator has no
-   segment destructor — the same deliberate rule as page refcounts not
-   being released on exit); [forget] exists for teardown paths that
-   know the segment is done for, and stale entries cost a hashtable
-   slot plus, at worst, a clean eviction of their leftover frames.
+(* The simulator has no segment destructor (the same deliberate rule as
+   page refcounts not being released on exit), so objects leave the
+   registry only through [forget], called by the paths that know a
+   segment is done for: a dead or replaced address space's private
+   mappings ([Address_space.drop_objects], at process exit and exec)
+   and the linker unwinding a private instance.  Public objects are
+   shared page caches and stay for the machine's lifetime.  A stale
+   entry costs its bitmaps, a clock slot per leftover frame, and keeps
+   its segment's pages reachable.
 
    The registry and the clock below are {e per-domain} (a DLS-keyed
    record): each domain owns an independent page cache and
    second-chance hand, the simulator's analogue of per-CPU page-frame
    pools.  Residency is pure accounting (eviction never discards
    contents), so domains disagreeing about which pages are "in RAM" can
-   skew observability counters but never data.  The main domain's
+   skew observability counters but never data.  [forget] clears the
+   calling domain's instance only; an object registered on another
+   domain (a process spawned on one domain that exits on another)
+   stays there as a stale entry.  The main domain's
    instance is the instance the seed had, so single-domain runs are
    bit-for-bit unchanged. *)
 type state = {
@@ -301,6 +308,8 @@ let forget seg =
     t.frames <- 0;
     Bytes.fill t.resident 0 (Bytes.length t.resident) '\000';
     Hashtbl.remove s.registry (Segment.id seg)
+
+let registered () = Hashtbl.length (st ()).registry
 
 let attach t ~uid invalidate =
   match Hashtbl.find_opt t.spaces uid with

@@ -80,9 +80,14 @@ val detach : t -> uid:int -> unit
 
 (** Drop [seg]'s object: frames leave the clock uncounted, residency
     clears, the registry entry disappears.  For teardown paths that
-    know the segment is discarded (e.g. the linker unwinding a private
-    instance). *)
+    know the segment is discarded: a dead or replaced address space's
+    private mappings ({!Address_space.drop_objects}) and the linker
+    unwinding a private instance. *)
 val forget : Segment.t -> unit
+
+(** Objects in this domain's registry: a clock-free measure of the
+    pager state a run keeps alive. *)
+val registered : unit -> int
 
 (** High-water mark of [Stats.resident_pages] since the last {!reset}. *)
 val peak_resident : unit -> int

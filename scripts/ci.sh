@@ -54,6 +54,34 @@ for ex in quickstart rwho_demo parallel_sum figure_editor lynx_tables editor_ser
   dune exec "examples/$ex.exe" > /dev/null
 done
 
+# Post-mortem contract: every run's processes have exited (and the
+# top-level ones are reaped), yet ldsc still reads the last one's
+# exit code and address space, and the linker's per-process link state.
+echo "== ldsc post-mortem smoke (README example: exit codes, --layout, --linkstat) =="
+smoke=_build/ldsc_smoke
+mkdir -p "$smoke"
+cat > "$smoke/counter.c" <<'SRC'
+int counter;
+int bump() { counter = counter + 1; return counter; }
+SRC
+cat > "$smoke/main.c" <<'SRC'
+extern int bump();
+int main() {
+  print_str("counter -> ");
+  print_int(bump());
+  print_str("\n");
+  return 0;
+}
+SRC
+dune exec bin/ldsc.exe -- run --runs 3 --layout --linkstat \
+  "$smoke/main.c" "$smoke/counter.c:dpub" > "$smoke/out.txt"
+grep -qx -- "--- run 3 (exit 0) ---" "$smoke/out.txt"
+grep -qx "counter -> 3" "$smoke/out.txt"
+grep -qx -- "--- address space ---" "$smoke/out.txt"
+rows=$(grep -c '^ *{ "pid": ' "$smoke/out.txt")
+[ "$rows" -eq 3 ] || { echo "ldsc linkstat: $rows process rows, want 3"; exit 1; }
+echo "ldsc post-mortem output intact"
+
 echo "== crash sweep (deterministic fault plans; gate: recovery fsck clean) =="
 dune exec bench/main.exe -- crash-sweep 1 2 3 4 5 6 7 8 9 10
 

@@ -95,6 +95,133 @@ let waitpid_reaps () =
   check_bool "pid positive" true (pid > 0);
   check_int "code" 5 code
 
+(* ----- reaping: who reaps what, and when ----- *)
+
+let in_table k p = Kernel.find_proc k p.Proc.pid <> None
+
+let top_level_exit_reaped () =
+  let k = Kernel.create () in
+  let p = Kernel.spawn_native k ~name:"top" (fun _ _ -> 7) in
+  check_bool "listed while live" true (in_table k p);
+  let (), d = Stats.measure (fun () -> Kernel.run k) in
+  check_bool "gone from find_proc" false (in_table k p);
+  check_int "gone from processes" 0 (List.length (Kernel.processes k));
+  check_int "the held record keeps its exit code" 7 (exit_code p);
+  check_int "no syscall billed" 0 d.Stats.syscalls
+
+(* [early] exits while its parent lives, so it stays a zombie; the
+   parent's exit takes it along, while [late], still live, waits for a
+   watcher to look at the table and is reaped at its own exit. *)
+let orphans_reaped () =
+  let k = Kernel.create () in
+  let released = ref false and seen = ref [] in
+  let early = ref None and late = ref None in
+  let get r = Option.get !r in
+  let parent =
+    Kernel.spawn_native k ~name:"parent" (fun k p ->
+        early := Some (Kernel.spawn_native k ~name:"early" ~parent:p.Proc.pid (fun _ _ -> 1));
+        late :=
+          Some
+            (Kernel.spawn_native k ~name:"late" ~parent:p.Proc.pid (fun _ _ ->
+                 Proc.wait_until (fun () -> !released);
+                 2));
+        Proc.wait_until (fun () -> Proc.is_zombie (get early));
+        check_bool "a live parent's zombie stays" true (in_table k (get early));
+        3)
+  in
+  ignore
+    (Kernel.spawn_native k ~name:"watcher" (fun k _ ->
+         Proc.wait_until (fun () -> Proc.is_zombie parent);
+         seen :=
+           [ in_table k parent; in_table k (get early); in_table k (get late);
+             Proc.is_zombie (get late) ];
+         released := true;
+         0));
+  Kernel.run k;
+  check_bool "parent exit: itself and its zombie child gone, its live child kept" true
+    (!seen = [ false; false; true; false ]);
+  check_bool "the orphan is reaped at its own exit" false (in_table k (get late));
+  check_int "table empty" 0 (List.length (Kernel.processes k));
+  List.iter2
+    (fun p code -> check_int ("exit code of " ^ p.Proc.comm) code (exit_code p))
+    [ parent; get early; get late ] [ 3; 1; 2 ]
+
+(* Zombies of a live parent stay until it waits, and both waits reap
+   the lowest pid first: [waitpid] for a native parent, ISA [wait] for a
+   compiled one (a watcher checks all three zombies are in the table
+   before the ISA parent starts waiting). *)
+let live_parent_waits () =
+  let k = Kernel.create () in
+  let kids = ref [] in
+  let parent =
+    Kernel.spawn_native k ~name:"native-parent" (fun k p ->
+         kids :=
+           List.map
+             (fun c -> Kernel.spawn_native k ~name:"kid" ~parent:p.Proc.pid (fun _ _ -> c))
+             [ 1; 2; 3 ];
+         Proc.wait_until (fun () -> List.for_all Proc.is_zombie !kids);
+         check_bool "zombies stay while the parent lives" true (List.for_all (in_table k) !kids);
+         List.iter
+           (fun c ->
+             let pid, code = Kernel.waitpid k p in
+             check_int "waitpid reaps the lowest pid" c.Proc.pid pid;
+             check_int "its exit code" (exit_code c) code;
+             check_bool "reaped" false (in_table k c))
+           !kids;
+         0)
+  in
+  Kernel.run k;
+  (* a failed check inside a native body kills it: its exit code shows *)
+  check_int "native parent passed its checks" 0 (exit_code parent);
+  check_int "native: table empty" 0 (List.length (Kernel.processes k));
+  let k, _ = boot () in
+  Fs.mkdir (Kernel.fs k) "/home/t";
+  install_c k "/home/t/main.o"
+    {|
+int main() {
+  int n;
+  int pid;
+  n = 0;
+  while (n < 3) {
+    pid = fork();
+    if (pid == 0) {
+      exit(n + 1);
+    }
+    n = n + 1;
+  }
+  n = 0;
+  while (n < 5) {
+    yield();
+    n = n + 1;
+  }
+  n = 0;
+  while (n < 3) {
+    print_int(wait());
+    print_str(" ");
+    n = n + 1;
+  }
+  return 0;
+}|};
+  ignore (link k ~dir:"/home/t" ~specs:[ ("main.o", Sharing.Static_private) ] "prog");
+  let prog = Kernel.spawn_exec k "/home/t/prog" in
+  let zombie_kids () =
+    List.filter
+      (fun c -> c.Proc.parent = prog.Proc.pid && Proc.is_zombie c)
+      (Kernel.processes k)
+  in
+  let zombies = ref [] in
+  ignore
+    (Kernel.spawn_native k ~name:"watcher" (fun _ _ ->
+         Proc.wait_until ~why:"three zombies" (fun () -> List.length (zombie_kids ()) = 3);
+         zombies := List.map (fun c -> c.Proc.pid) (zombie_kids ());
+         0));
+  Kernel.console_clear k;
+  Kernel.run k;
+  check_string "wait: lowest pid first"
+    (String.concat "" (List.map (Printf.sprintf "%d ") !zombies))
+    (Kernel.console k);
+  check_int "ISA: table empty" 0 (List.length (Kernel.processes k))
+
 let waitpid_no_children () =
   let k = Kernel.create () in
   ignore
@@ -462,6 +589,9 @@ let suite =
     test "kernel: daemons may stay blocked" daemons_allowed_to_block;
     test "kernel: waitpid reaps zombies" waitpid_reaps;
     test "kernel: waitpid without children errors" waitpid_no_children;
+    test "kernel: a top-level exit is reaped at once" top_level_exit_reaped;
+    test "kernel: a parent's exit reaps its zombies; orphans reaped at exit" orphans_reaped;
+    test "kernel: a live parent's zombies stay until it waits" live_parent_waits;
     test "kernel: environment variables" env_vars;
     test "kernel: file descriptors" fd_layer;
     test "kernel: file locks exclude" file_locks;

@@ -1,14 +1,18 @@
-(* The scheduler's process table: the live run list and the per-parent
-   child index.  A qcheck oracle runs random process mixes under
-   [Sched] and under a reference that re-derives every pass from the
-   full pid-sorted table (checking the index against that table as it
-   goes), and requires identical dispatch order, consoles, deadlock
-   reports and billed costs.  A scaling test shows
-   that exited processes cost a pass and a wait nothing. *)
+(* The scheduler's process table: the live run list, the per-parent
+   child index and the reaping rule.  A qcheck oracle runs random
+   process mixes under [Sched] and under a reference that re-derives
+   every pass from its own model of the pid table (checking the index
+   against the kernel's table as it goes, and the table against the
+   model after every quantum), and requires identical dispatch order,
+   consoles, deadlock reports, billed costs and pid tables.  Scaling
+   tests show that exited processes cost a pass and a wait nothing, and
+   that exited programs leave nothing in the pid table or the pager
+   registry. *)
 
 open Harness
 module Stats = Hemlock_util.Stats
 module Sched = Hemlock_os.Sched
+module Vm_object = Hemlock_vm.Vm_object
 
 (* ----- process mixes ----- *)
 
@@ -103,6 +107,8 @@ type job =
   | Yielder of int * int  (** yields n times, logs, exits with a code *)
   | Isa of int  (** one of [isa_sources] *)
   | Waiter of job list  (** spawns its children, then waitpid's each *)
+  | Leaver of int * job list
+      (** spawns its children, yields n times, exits without waiting *)
   | Flag_wait of int  (** blocks until flag i is set *)
   | Flag_set of int * int  (** yields n times, then sets flag i *)
   | Daemon  (** blocked forever, but a daemon *)
@@ -111,6 +117,8 @@ let rec show_job = function
   | Yielder (n, c) -> Printf.sprintf "Yielder(%d,%d)" n c
   | Isa i -> Printf.sprintf "Isa %d" i
   | Waiter js -> "Waiter[" ^ String.concat ";" (List.map show_job js) ^ "]"
+  | Leaver (n, js) ->
+    Printf.sprintf "Leaver(%d)[%s]" n (String.concat ";" (List.map show_job js))
   | Flag_wait f -> Printf.sprintf "Flag_wait %d" f
   | Flag_set (n, f) -> Printf.sprintf "Flag_set(%d,%d)" n f
   | Daemon -> "Daemon"
@@ -134,8 +142,13 @@ let rec gen_job depth =
   in
   if depth = 0 then leaf
   else
+    let kids = list_size (int_range 1 3) (gen_job (depth - 1)) in
     frequency
-      [ (3, leaf); (1, map (fun js -> Waiter js) (list_size (int_range 1 3) (gen_job (depth - 1)))) ]
+      [
+        (4, leaf);
+        (1, map (fun js -> Waiter js) kids);
+        (1, map2 (fun n js -> Leaver (n, js)) (int_bound 3) kids);
+      ]
 
 (* Batches are spawned and run one after another, so later batches run
    beside the zombies (and any deadlocked processes) of earlier ones. *)
@@ -161,6 +174,14 @@ let rec spawn k ~flags ~log ?parent job =
             Printf.bprintf log "w%d:%d=%d " p.Proc.pid pid code)
           js;
         0)
+  | Leaver (n, js) ->
+    native "leaver" (fun k p ->
+        List.iter (fun j -> ignore (spawn k ~flags ~log ~parent:p.Proc.pid j)) js;
+        for _ = 1 to n do
+          Proc.yield ()
+        done;
+        Printf.bprintf log "l%d " p.Proc.pid;
+        0)
   | Flag_wait f ->
     native "flag-wait" (fun _ p ->
         Proc.wait_until ~why:(Printf.sprintf "flag %d" f) (fun () -> flags.(f));
@@ -178,26 +199,91 @@ let rec spawn k ~flags ~log ?parent job =
     Kernel.set_daemon k d;
     d
 
-(* ----- the reference: today's algorithm ----- *)
+(* ----- the reference ----- *)
 
-(* Every pass re-derives the full pid-sorted table, zombies included,
+(* Every pass re-derives its process list from a model of the pid table
    and filters it — the scheduler before the live run list and child
-   index.  It also checks, each pass, that the kernel's index and run
-   list agree with that table. *)
+   index.  The model applies the reaping rule itself: a process that
+   exits takes its zombie children with it, and goes too unless its
+   parent is a live process in the table; a process that waits may only
+   take its own zombie children, lowest pid first.  After every quantum
+   the kernel's table must hold exactly the model's pids, and each pass
+   checks the kernel's index and run list against that table. *)
 module Reference = struct
-  let blocked k =
+  type model = { table : (int, Proc.t) Hashtbl.t; mutable top : int  (** highest pid seen *) }
+
+  let model () = { table = Hashtbl.create 64; top = 0 }
+
+  let procs m =
+    List.sort
+      (fun a b -> compare a.Proc.pid b.Proc.pid)
+      (Hashtbl.fold (fun _ p acc -> p :: acc) m.table [])
+
+  let pids ps = List.map (fun p -> p.Proc.pid) ps
+
+  (* Pids are handed out in increasing order: anything above [top] is
+     new, anything at or below it must already be modelled. *)
+  let adopt k m =
+    List.iter
+      (fun p ->
+        if p.Proc.pid > m.top then begin
+          Hashtbl.replace m.table p.Proc.pid p;
+          m.top <- p.Proc.pid
+        end)
+      (Kernel.processes k)
+
+  let ints l = String.concat ";" (List.map string_of_int l)
+
+  let check_table k m =
+    if pids (Kernel.processes k) <> pids (procs m) then
+      Alcotest.failf "pid table [%s], reaping rule wants [%s]"
+        (ints (pids (Kernel.processes k))) (ints (pids (procs m)))
+
+  let zombie_kids m pid =
+    List.filter (fun c -> c.Proc.parent = pid && Proc.is_zombie c) (procs m)
+
+  (* [p] just had a quantum; it was runnable before it. *)
+  let after_quantum k m p =
+    adopt k m;
+    let gone pid = Kernel.find_proc k pid = None in
+    let exited = Proc.is_zombie p in
+    let must_go =
+      if not exited then []
+      else
+        let parent_live =
+          match Hashtbl.find_opt m.table p.Proc.parent with
+          | Some q -> not (Proc.is_zombie q)
+          | None -> false
+        in
+        pids (zombie_kids m p.Proc.pid) @ if parent_live then [] else [ p.Proc.pid ]
+    in
+    List.iter
+      (fun pid -> if not (gone pid) then Alcotest.failf "pid %d should have been reaped" pid)
+      must_go;
+    (* anything else that left was reaped by [p]'s waits *)
+    let waited =
+      List.filter (fun q -> gone q.Proc.pid && not (List.mem q.Proc.pid must_go)) (procs m)
+    in
+    let kids = zombie_kids m p.Proc.pid in
+    if pids waited <> List.filteri (fun i _ -> i < List.length waited) (pids kids) then
+      Alcotest.failf "pid %d reaped [%s], not its lowest-pid zombie children" p.Proc.pid
+        (ints (pids waited));
+    List.iter (fun q -> Hashtbl.remove m.table q.Proc.pid) waited;
+    List.iter (Hashtbl.remove m.table) must_go;
+    check_table k m
+
+  let blocked k m =
     List.filter_map
       (fun p ->
         match p.Proc.state with
         | Proc.Blocked { why; _ } when not (Sched.is_daemon (Kernel.sched k) p.Proc.pid) ->
           Some { Sched.b_pid = p.Proc.pid; b_comm = p.Proc.comm; b_why = why }
         | Proc.Blocked _ | Proc.Runnable | Proc.Zombie _ -> None)
-      (Kernel.processes k)
+      (procs m)
 
   let check_index k =
     let s = Kernel.sched k in
     let table = Kernel.processes k in
-    let pids ps = List.map (fun p -> p.Proc.pid) ps in
     List.iter
       (fun parent ->
         let want = List.filter (fun p -> p.Proc.parent = parent) table in
@@ -206,40 +292,43 @@ module Reference = struct
         let pid = Option.map (fun p -> p.Proc.pid) in
         if pid (Sched.zombie_child s parent) <> pid (List.find_opt Proc.is_zombie want) then
           Alcotest.failf "pid %d would reap the wrong zombie" parent)
-      (0 :: pids table);
+      (List.sort_uniq compare (0 :: pids table @ List.map (fun p -> p.Proc.parent) table));
     if pids (Sched.live s) <> pids (List.filter (fun p -> not (Proc.is_zombie p)) table) then
       Alcotest.fail "run list disagrees with the table"
 
-  let step k ~ticks ~run_one =
+  let step k m ~ticks ~run_one =
     check_index k;
     List.iter
       (fun p ->
         match p.Proc.state with
         | Proc.Blocked { cond; _ } when cond () -> p.Proc.state <- Proc.Runnable
         | Proc.Blocked _ | Proc.Runnable | Proc.Zombie _ -> ())
-      (Kernel.processes k);
-    match List.filter (fun p -> p.Proc.state = Proc.Runnable) (Kernel.processes k) with
-    | [] -> if blocked k = [] then `Done else `Idle
+      (procs m);
+    match List.filter (fun p -> p.Proc.state = Proc.Runnable) (procs m) with
+    | [] -> if blocked k m = [] then `Done else `Idle
     | ps ->
       List.iter
         (fun p ->
           if p.Proc.state = Proc.Runnable then begin
             incr ticks;
             (Stats.cur ()).context_switches <- (Stats.cur ()).context_switches + 1;
-            run_one p
+            run_one p;
+            after_quantum k m p
           end)
         ps;
       `Progress
 
-  let run k ~ticks ~max_ticks ~run_one ~on_budget =
+  let run k m ~ticks ~max_ticks ~run_one ~on_budget =
+    adopt k m;
+    check_table k m;
     let deadline = !ticks + max_ticks in
     let rec loop () =
       if !ticks > deadline then on_budget ()
       else
-        match step k ~ticks ~run_one with
+        match step k m ~ticks ~run_one with
         | `Progress -> loop ()
         | `Done -> ()
-        | `Idle -> raise (Sched.Deadlock (blocked k))
+        | `Idle -> raise (Sched.Deadlock (blocked k m))
     in
     loop ()
 end
@@ -255,6 +344,7 @@ type observed = {
   log : string;
   billed : int * int * int * int * int;
   ticks : int;
+  table : int list;  (** the pid table after the batch *)
 }
 
 let billed d =
@@ -269,6 +359,7 @@ let observe ~reference batches =
   Array.iteri (fun i img -> Fs.write_file fs (Printf.sprintf "/home/t/p%d" i) img) (Lazy.force images);
   let flags = Array.make flags false in
   let ticks = ref 0 in
+  let model = Reference.model () in
   List.map
     (fun batch ->
       let log = Buffer.create 64 in
@@ -284,7 +375,8 @@ let observe ~reference batches =
       let outcome, d =
         Stats.measure (fun () ->
             match
-              if reference then Reference.run k ~ticks ~max_ticks:20_000 ~run_one ~on_budget
+              if reference then
+                Reference.run k model ~ticks ~max_ticks:20_000 ~run_one ~on_budget
               else Sched.run ~max_ticks:20_000 (Kernel.sched k) ~run_one ~on_budget
             with
             | () -> `Done
@@ -298,17 +390,19 @@ let observe ~reference batches =
         log = Buffer.contents log;
         billed = billed d;
         ticks = (if reference then !ticks else Sched.ticks (Kernel.sched k)) - t0;
+        table = Reference.pids (Kernel.processes k);
       })
     batches
 
 let show_observed o =
-  Printf.sprintf "dispatched=[%s] outcome=%s console=%S log=%S ticks=%d"
-    (String.concat ";" (List.map string_of_int o.dispatched))
+  let ints = Reference.ints in
+  Printf.sprintf "dispatched=[%s] outcome=%s console=%S log=%S ticks=%d table=[%s]"
+    (ints o.dispatched)
     (match o.outcome with
     | `Done -> "done"
     | `Budget -> "budget"
     | `Deadlock bs -> "deadlock: " ^ Sched.deadlock_message bs)
-    o.console o.log o.ticks
+    o.console o.log o.ticks (ints o.table)
 
 let sched_matches_reference batches =
   let got = observe ~reference:false batches in
@@ -375,21 +469,41 @@ int main() {
 
 let exited = 5_000
 
+(* A live native daemon that never waits: the parent that keeps its
+   exited children in the table as zombies. *)
+let parked k =
+  let p =
+    Kernel.spawn_native k ~name:"parked" (fun _ _ ->
+        Proc.wait_until ~why:"never" (fun () -> false);
+        0)
+  in
+  Kernel.set_daemon k p;
+  p
+
 let zombies_cost_nothing () =
   let fresh = fork_kernel () in
   let loaded = fork_kernel () in
   let s = Kernel.sched loaded in
+  ignore (parked fresh);
+  let parent = parked loaded in
   for _ = 1 to exited do
-    ignore (Kernel.spawn_native loaded ~name:"gone" (fun _ _ -> 0))
+    ignore (Kernel.spawn_native loaded ~name:"gone" ~parent:parent.Proc.pid (fun _ _ -> 0))
   done;
+  Kernel.run fresh;
   Kernel.run loaded;
-  check_int "run list empty" 0 (List.length (Sched.live s));
+  check_bool "run list holds only the parent" true
+    (List.map (fun p -> p.Proc.pid) (Sched.live s) = [ parent.Proc.pid ]);
   check_bool "zombies stay in the table" true (List.length (Kernel.processes loaded) >= exited);
-  check_int "top-level children indexed" exited
-    (List.length (List.filter (fun p -> p.Proc.comm = "gone") (Sched.children s 0)));
-  let v0 = Sched.visits s in
-  check_bool "a pass over zombies only" true (Kernel.step loaded = `Done);
-  check_int "a pass touches no zombie" v0 (Sched.visits s);
+  check_int "the parent's children indexed" exited
+    (List.length
+       (List.filter (fun p -> p.Proc.comm = "gone") (Sched.children s parent.Proc.pid)));
+  let pass k =
+    let s = Kernel.sched k in
+    let v0 = Sched.visits s in
+    check_bool "a pass over zombies and the parked parent only" true (Kernel.step k = `Done);
+    Sched.visits s - v0
+  in
+  check_int "a pass touches no zombie" (pass fresh) (pass loaded);
   let console, cost, visits = fork_round fresh in
   let console', cost', visits' = fork_round loaded in
   check_string "console" console console';
@@ -397,9 +511,43 @@ let zombies_cost_nothing () =
   check_int "scheduler work (live processes and own children only)" visits visits';
   check_bool "zombies still unreaped" true (List.length (Kernel.processes loaded) >= exited)
 
+(* Top-level programs are reaped at exit and take their pager objects
+   with them; exec forgets the replaced image's.  Counted, not timed. *)
+let execs = 500
+
+let exits_keep_nothing () =
+  let fresh = fork_kernel () in
+  let k = fork_kernel () in
+  let run_prog () =
+    let p = Kernel.spawn_exec k "/home/perf/forkprog" in
+    Kernel.run k;
+    check_int "fork program exits cleanly" 0 (exit_code p)
+  in
+  run_prog ();
+  let table = List.length (Kernel.processes k) and objects = Vm_object.registered () in
+  for _ = 2 to execs do
+    run_prog ()
+  done;
+  check_int "process table after 500 top-level execs" table (List.length (Kernel.processes k));
+  check_int "pager registry after 500 top-level execs" objects (Vm_object.registered ());
+  let p = Kernel.spawn_exec k "/home/perf/forkprog" in
+  let objects = Vm_object.registered () in
+  for _ = 1 to 50 do
+    Kernel.exec k p "/home/perf/forkprog"
+  done;
+  check_int "pager registry after 50 in-place execs" objects (Vm_object.registered ());
+  Kernel.run k;
+  check_int "re-exec'd program exits cleanly" 0 (exit_code p);
+  let console, cost, _ = fork_round fresh in
+  let console', cost', _ = fork_round k in
+  check_string "console" console console';
+  check_bool "billed costs" true (cost = cost')
+
 let suite =
   [
     prop "sched: run list + child index = full-table reference" ~count:40
       ~print:show_batches gen_batches sched_matches_reference;
     test "sched: 5,000 exited processes cost a pass and a wait nothing" zombies_cost_nothing;
+    test "sched: 500 exited programs leave the table and pager registry flat"
+      exits_keep_nothing;
   ]
