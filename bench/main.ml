@@ -782,21 +782,18 @@ int main() {
 }
 |}
 
-(* One switch per layer: [caches] is the memory-system fast path (TLB +
-   decode cache), [jit] the trace compiler on top of it. *)
+(* One switch per layer: [caches] is the memory-system fast path (the
+   software TLB), [jit] the trace compiler on top of it. *)
 let with_profile ~caches ~jit ?threshold f =
   let tlb = !As.caching_default
-  and dc = !Cpu.decode_cache_enabled
   and je = !Trace.enabled
   and jt = !Trace.threshold in
   As.caching_default := caches;
-  Cpu.decode_cache_enabled := caches;
   Trace.enabled := jit;
   Option.iter (fun t -> Trace.threshold := t) threshold;
   Fun.protect
     ~finally:(fun () ->
       As.caching_default := tlb;
-      Cpu.decode_cache_enabled := dc;
       Trace.enabled := je;
       Trace.threshold := jt)
     f
@@ -846,7 +843,7 @@ let perf_profile () =
       done)
 
 let perf () =
-  header "PERF: interpreter throughput — TLB + decode cache + trace JIT";
+  header "PERF: interpreter throughput — TLB + trace JIT";
   (* One profile per configuration, each on a fresh kernel: the address
      space captures the caching flag when it is created. *)
   let profile ~caches ~jit =
@@ -905,18 +902,18 @@ let perf () =
   Printf.printf "%-12s | %14s | %16s | %s\n" "config" "ns/run" "insns/sec" "fast-path hits";
   Printf.printf "-------------+----------------+------------------+---------------------------\n";
   Printf.printf "%-12s | %14.0f | %16.0f | (none)\n" "nocache" ns_off (ips ns_off);
-  Printf.printf "%-12s | %14.0f | %16.0f | tlb %d, decode %d\n" "cached" ns_on (ips ns_on)
-    d_on.Stats.tlb_hits d_on.Stats.decode_hits;
+  Printf.printf "%-12s | %14.0f | %16.0f | tlb %d\n" "cached" ns_on (ips ns_on)
+    d_on.Stats.tlb_hits;
   Printf.printf "%-12s | %14.0f | %16.0f | jit %d hits / %d compiles / %d exits\n" "jit"
     ns_jit (ips ns_jit) d_jit.Stats.jit_hits d_jit.Stats.jit_compiles
     d_jit.Stats.jit_exits;
-  Printf.printf "\ncache speedup:          %.2fx\n" speedup;
+  Printf.printf "\nTLB speedup:            %.2fx\n" speedup;
   Printf.printf "jit over nocache:       %.2fx (floor 10x)\n" jit_vs_nocache;
-  Printf.printf "jit over decode cache:  %.2fx (floor 3x)\n" jit_vs_cache;
+  Printf.printf "jit over TLB only:      %.2fx (floor 3x)\n" jit_vs_cache;
   if jit_vs_nocache < 10.0 then
     failwith "perf: JIT throughput under the 10x-over-nocache acceptance floor";
   if jit_vs_cache < 3.0 then
-    failwith "perf: JIT throughput under the 3x-over-decode-cache acceptance floor";
+    failwith "perf: JIT throughput under the 3x-over-TLB-only acceptance floor";
   let json =
     Printf.sprintf
       "{\n\

@@ -86,7 +86,7 @@ type t = {
      incomplete instantiation list, so never plan these again *)
   poisoned : (string, unit) Hashtbl.t;
   (* whether the persisted symbol indexes under /shared/.stable have
-     been used to warm the decode caches since the last (re)boot *)
+     been used to warm the template decode cache since the last (re)boot *)
   mutable stable_seeded : bool;
   (* host-side: every persisted plan, decoded and digest-verified once
      per (re)boot by [seed_stable], so the first exec after reboot pays
@@ -884,21 +884,14 @@ let empty_root proc =
 
 let loader t _k proc bytes ~path =
   if not (Aout.looks_like bytes) then raise Kernel.Wrong_format;
-  (* Identify the backing file so the decode can be memoized and link
-     plans keyed; an image that is somehow not addressable by path just
-     skips both. *)
+  (* Identify the backing file so link plans can be keyed; an image
+     that is somehow not addressable by path just skips them. *)
   let prog =
     match Fs.segment_of (Kernel.fs t.k) ~cwd:proc.Proc.cwd path with
     | fseg -> Some (path, Segment.id fseg, Segment.version fseg)
     | exception Fs.Error _ -> None
   in
-  let aout =
-    match prog with
-    | Some _ ->
-      let fseg = Fs.segment_of (Kernel.fs t.k) ~cwd:proc.Proc.cwd path in
-      Link_plan.parse_aout ~seg:fseg bytes
-    | None -> Aout.parse bytes
-  in
+  let aout = Aout.parse bytes in
   let size = Aout.image_size aout in
   let build_image name =
     let seg = Segment.create ~name ~max_size:(Layout.page_up size) () in
@@ -1024,9 +1017,8 @@ let install k =
      cache.  That is exactly the state stable linking persists into
      /shared (or deliberately leaves cold, for the locate cache), so an
      honest cold boot demands it goes.  Placed CONTENT stays: the image
-     and placed-module masters and the decoded-image memo are keyed by
-     the (id, version) content identity of segments that themselves
-     survive the reboot — they model bytes living in the persistent
+     and placed-module masters are keyed by the (id, version) content
+     identity of segments that themselves survive the reboot — they model bytes living in the persistent
      segment store, which is the paper's whole point.  All of it is
      host-side either way; dropping or keeping it never changes
      simulated costs.  With stable linking on, the persisted symbol

@@ -75,11 +75,12 @@ val link_now : t -> Proc.t -> Modinst.t -> unit
 
 (** {1 Stable linking}
 
-    The in-memory plan store and decode caches die with [Kernel.reboot];
-    {!stable_sync} persists them under [/shared/.stable] (see
-    {!Stable_link}), and the reboot hook installed by {!install} reseeds
-    from the persisted files so the first exec after reboot replays
-    plans instead of walking scopes cold. *)
+    The in-memory plan store and template decode cache die with
+    [Kernel.reboot]; {!stable_sync} persists them under
+    [/shared/.stable] (see {!Stable_link}), and the reboot hook
+    installed by {!install} reseeds from the persisted files so the
+    first exec after reboot replays plans instead of walking scopes
+    cold. *)
 
 type sync_report = {
   sync_plans : int;  (** plan files persisted (or already present) *)

@@ -3,19 +3,21 @@ module Segment = Hemlock_vm.Segment
 module Objfile = Hemlock_obj.Objfile
 module Stats = Hemlock_util.Stats
 
-let enabled = ref (Sys.getenv_opt "HEMLOCK_NO_PLANCACHE" = None)
+let enabled = ref (not (Hemlock_util.Env.flag "HEMLOCK_NO_PLANCACHE"))
 
 (* ----- parse caches -------------------------------------------------------
 
-   Templates and load images are re-read on every instantiation/exec;
-   the simulated machine pays for the read ([Fs.read_file] bumps
-   bytes_copied/files_opened either way), but decoding the bytes into an
-   OCaml structure is host work, memoizable against the backing
-   segment's (id, version): [Segment.id] is process-unique so caches are
-   safe across kernels, and [Segment.version] advances on every content
-   write, so a rewritten file can never serve a stale decode. *)
+   Templates are re-read on every instantiation; the simulated machine
+   pays for the read ([Fs.read_file] bumps bytes_copied/files_opened
+   either way), but decoding the bytes into an OCaml structure is host
+   work, memoizable against the backing segment's (id, version):
+   [Segment.id] is process-unique so the cache is safe across kernels,
+   and [Segment.version] advances on every content write, so a
+   rewritten file can never serve a stale decode.  Load images (HEXE)
+   are decoded afresh on every exec: that decode is cheap next to the
+   exec itself, so it is not memoized. *)
 
-(* per-domain decode caches: memoisation only *)
+(* per-domain decode cache: memoisation only *)
 let obj_cache_key : (int * int, Objfile.t) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 64)
 
@@ -33,17 +35,9 @@ let parse_obj ~seg bytes =
       obj
   end
 
-let aout_cache_key : (int * int, Aout.t) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 16)
-
-let clear_parse_caches () =
-  Hashtbl.reset (Domain.DLS.get obj_cache_key);
-  Hashtbl.reset (Domain.DLS.get aout_cache_key)
-
-(* Reboot clears only the template decode memo: it is kernel-resident
-   link state that stable linking re-warms from persisted symbol-index
-   files.  The image (HEXE) memo is keyed by the content identity of a
-   file that itself survives the reboot, so it stays. *)
+(* Reboot clears the template decode memo: it is kernel-resident link
+   state that stable linking re-warms from persisted symbol-index
+   files. *)
 let clear_obj_cache () = Hashtbl.reset (Domain.DLS.get obj_cache_key)
 
 (* Stable-boot seeding: a persisted symbol-index file carries the
@@ -51,20 +45,6 @@ let clear_obj_cache () = Hashtbl.reset (Domain.DLS.get obj_cache_key)
    [parse_obj] calls for the same (id, version) hit the memo. *)
 let seed_obj ~src obj =
   if !enabled then Hashtbl.replace (Domain.DLS.get obj_cache_key) src obj
-
-let parse_aout ~seg bytes =
-  if not !enabled then Aout.parse bytes
-  else begin
-    let key = (Segment.id seg, Segment.version seg) in
-    let aout_cache = Domain.DLS.get aout_cache_key in
-    match Hashtbl.find_opt aout_cache key with
-    | Some aout -> aout
-    | None ->
-      if Hashtbl.length aout_cache > 256 then Hashtbl.reset aout_cache;
-      let aout = Aout.parse bytes in
-      Hashtbl.replace aout_cache key aout;
-      aout
-  end
 
 (* ----- memoized link plans ------------------------------------------------
 

@@ -5,7 +5,7 @@
 
     Coherence contract (all host-side; the simulated cost model is
     unaffected):
-    - decode caches are keyed by the backing segment's
+    - the template decode cache is keyed by the backing segment's
       ([Segment.id], [Segment.version]) — a rewritten file gets a new
       version and so a fresh decode;
     - the plan store is validated against {!Hemlock_sfs.Fs.generation}
@@ -31,17 +31,9 @@ val enabled : bool ref
     identity and version.  [bytes] must be [seg]'s current contents. *)
 val parse_obj : seg:Hemlock_vm.Segment.t -> Bytes.t -> Hemlock_obj.Objfile.t
 
-(** Same for load images. *)
-val parse_aout : seg:Hemlock_vm.Segment.t -> Bytes.t -> Aout.t
-
-(** Drop the calling domain's decode caches (reboot: the kernel's
-    host-resident state dies with it). *)
-val clear_parse_caches : unit -> unit
-
-(** Drop only the template (HOB2) decode memo — the piece of reboot
-    teardown stable linking claims and re-warms from persisted
-    symbol-index files.  The image (HEXE) memo models decoded content
-    backed by a file that survives the reboot, so reboot keeps it. *)
+(** Drop the calling domain's template (HOB2) decode memo — the piece
+    of reboot teardown stable linking claims and re-warms from
+    persisted symbol-index files. *)
 val clear_obj_cache : unit -> unit
 
 (** [seed_obj ~src obj] pre-warms the template decode cache with a

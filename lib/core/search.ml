@@ -9,30 +9,12 @@ type ctx = {
 
 let default_dirs = [ "/usr/lib"; "/shared/lib" ]
 
-let cache_enabled = ref (Sys.getenv_opt "HEMLOCK_NO_SYMHASH" = None)
-
-(* Splitting is a pure function of the raw string, so parse each
-   distinct LD_LIBRARY_PATH value once per process lifetime. *)
-(* per-domain: memoisation only, safe to rebuild per domain *)
-let llp_memo_key : (string, string list) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 8)
-
-let split_llp v = List.filter (fun d -> d <> "") (String.split_on_char ':' v)
+let cache_enabled = ref (not (Hemlock_util.Env.flag "HEMLOCK_NO_SYMHASH"))
 
 let ld_library_path env =
   match List.assoc_opt "LD_LIBRARY_PATH" env with
-  | None | Some "" -> []
-  | Some v ->
-    if not !cache_enabled then split_llp v
-    else (
-      let llp_memo = Domain.DLS.get llp_memo_key in
-      match Hashtbl.find_opt llp_memo v with
-      | Some dirs -> dirs
-      | None ->
-        if Hashtbl.length llp_memo > 256 then Hashtbl.reset llp_memo;
-        let dirs = split_llp v in
-        Hashtbl.add llp_memo v dirs;
-        dirs)
+  | None -> []
+  | Some v -> List.filter (fun d -> d <> "") (String.split_on_char ':' v)
 
 let static_dirs ctx ~cli_dirs =
   (Path.to_string ctx.cwd :: cli_dirs) @ ld_library_path ctx.env @ default_dirs
@@ -49,9 +31,7 @@ let has_slash name = String.contains name '/'
    write/create/rename anywhere invalidates conservatively.  The table
    is the FS's own ({!Fs.lookups}), not a global one: cluster machines
    link on different domains at once. *)
-let clear_locate_cache fs =
-  Hashtbl.reset (Fs.lookups fs);
-  Hashtbl.reset (Domain.DLS.get llp_memo_key)
+let clear_locate_cache fs = Hashtbl.reset (Fs.lookups fs)
 
 let locate_uncached ctx ~dirs name =
   let exists_file p =

@@ -18,13 +18,13 @@ type ctx = {
 
 val default_dirs : string list
 
-(** Kill switch for the LD_LIBRARY_PATH memo and the {!locate} cache
-    (set from [HEMLOCK_NO_SYMHASH] at start-up).  Results are identical
-    either way; both caches are epoch-validated against
-    {!Hemlock_sfs.Fs.generation}. *)
+(** Kill switch for the {!locate} cache (set from [HEMLOCK_NO_SYMHASH]
+    at start-up).  Results are identical either way; the cache is
+    epoch-validated against {!Hemlock_sfs.Fs.generation}. *)
 val cache_enabled : bool ref
 
-(** Split a colon-separated LD_LIBRARY_PATH value from [env]. *)
+(** Split a colon-separated LD_LIBRARY_PATH value from [env], keeping
+    order and dropping empty components; unset or empty gives [[]]. *)
 val ld_library_path : (string * string) list -> string list
 
 (** The static-link-time search directory list (absolute strings). *)
@@ -42,6 +42,5 @@ val runtime_dirs : ctx -> recorded:string list -> string list
     of §4). *)
 val locate : ctx -> dirs:string list -> string -> string option
 
-(** Drop [fs]'s {!locate} cache ({!Hemlock_sfs.Fs.lookups}) and the
-    calling domain's LD_LIBRARY_PATH memo (reboot). *)
+(** Drop [fs]'s {!locate} cache ({!Hemlock_sfs.Fs.lookups}) (reboot). *)
 val clear_locate_cache : Hemlock_sfs.Fs.t -> unit

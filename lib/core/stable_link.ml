@@ -26,7 +26,7 @@ module Fault = Hemlock_util.Fault
      invisible to the simulated cost model.  Only the persist writes
      are billed, at the explicit sync point. *)
 
-let enabled = ref (Sys.getenv_opt "HEMLOCK_NO_STABLELINK" = None)
+let enabled = ref (not (Hemlock_util.Env.flag "HEMLOCK_NO_STABLELINK"))
 
 let dir = "/shared/.stable"
 

@@ -1,68 +1,10 @@
 module As = Hemlock_vm.Address_space
-module Layout = Hemlock_vm.Layout
-module Segment = Hemlock_vm.Segment
 module Codec = Hemlock_util.Codec
 module Stats = Hemlock_util.Stats
-
-(* --- Decoded-instruction cache --------------------------------------
-
-   Straight-line code decodes each word once.  A [dpage] caches the
-   decode of one executable page, pinned to the mapping geometry
-   [As.exec_view] reported when it was filled.  A cached decode is
-   reused only while two counters stand still:
-
-   - the address space [epoch] — any map/unmap/protect bumps it, so a
-     remapped or protection-flipped page can never serve stale decodes
-     (lazy linking's no-access trick stays sound);
-   - the backing segment's [Segment.version] — {e every} content write
-     bumps it, whichever component performs it: this CPU's stores,
-     another process sharing the segment, relocation patching that goes
-     straight to the segment.
-
-   While both match, the page provably holds the bytes it held at
-   decode time and the hit path touches neither the address space nor
-   the segment.  When the version has moved (e.g. code and mutated data
-   share a segment), the cache degrades to {e word verification}: it
-   re-reads the current word and reuses the decode only on an exact
-   match — still correct against every writer, just one segment read
-   per fetch.
-
-   Copy-on-write fork needs no extra machinery here: [As.clone] gives
-   the child a distinct [Segment.t] per private mapping (pages shared
-   by refcount underneath), so parent and child decodes are keyed by
-   different segments; a COW page copy happens inside a segment write,
-   which bumps that segment's [version] and invalidates only the
-   writing space's decodes, and [resolve_cow] bumps the faulting
-   space's [epoch].  The other space's cache entries stay valid, as
-   they should — its bytes did not change. *)
-
-type dpage = {
-  mutable dp_page : int;  (* page base address; -1 = invalid *)
-  mutable dp_epoch : int;  (* address-space epoch the page was filled under *)
-  mutable dp_hi : int;  (* mapping's exclusive bound, from [As.exec_view] *)
-  mutable dp_delta : int;  (* segment offset delta for this mapping *)
-  mutable dp_seg : Segment.t;
-  mutable dp_version : int;  (* [Segment.version dp_seg] at fill time *)
-  dp_words : int array;  (* raw words; -1 = slot empty *)
-  dp_insns : Insn.t array;
-}
-
-(* Flipped off by setting HEMLOCK_NO_DCACHE (mirrors HEMLOCK_NO_TLB). *)
-let decode_cache_enabled = ref (Sys.getenv_opt "HEMLOCK_NO_DCACHE" = None)
-
-let icache_slots = 16
-let insns_per_page = Layout.page_size / 4
-
-(* Public modules sit at 1 MB boundaries, so their base pages share low
-   page-number bits; fold in higher bits to spread them over the slots. *)
-let icache_slot pc =
-  let p = pc lsr Layout.page_shift in
-  (p lxor (p lsr 8)) land (icache_slots - 1)
 
 type t = {
   regs : int array;
   mutable pc : int;
-  icache : dpage option array;
   jit : Trace.state;
 }
 
@@ -77,11 +19,11 @@ exception Illegal_insn of { ill_pc : int; ill_word : int }
 let create ~entry ~sp =
   let regs = Array.make 32 0 in
   regs.(Reg.sp) <- sp;
-  { regs; pc = entry; icache = Array.make icache_slots None; jit = Trace.make regs }
+  { regs; pc = entry; jit = Trace.make regs }
 
 let fork t =
   let regs = Array.copy t.regs in
-  { regs; pc = t.pc; icache = Array.make icache_slots None; jit = Trace.make regs }
+  { regs; pc = t.pc; jit = Trace.make regs }
 
 (* Register indices come from 5-bit decode fields, so the 32-element
    array can skip bounds checks on the interpreter's hottest loads. *)
@@ -93,90 +35,21 @@ let signed t r = Codec.sext32 (Array.unsafe_get t.regs r)
 
 let error t msg = raise (Cpu_error { pc = t.pc; msg })
 
-let decode_into t dp word idx =
+(* Every fetch reads the word through the address space, so it sees the
+   current protections and bytes: a no-access module faults on first
+   touch, and a store into code is visible to the very next fetch.
+   Hot code is cached only by the trace JIT (see {!Trace}). *)
+let fetch_insn space pc =
+  let word = As.fetch space pc in
   match Insn.decode word with
-  | insn ->
-    Array.unsafe_set dp.dp_words idx word;
-    Array.unsafe_set dp.dp_insns idx insn;
-    insn
+  | insn -> insn
   | exception Failure _ ->
-    (* Undecodable word: an illegal-instruction trap, not a host error.
-       [t.pc] still points at the word (fetch precedes any pc update). *)
-    raise (Illegal_insn { ill_pc = t.pc; ill_word = word })
-
-(* Slot invalid for this page/epoch: validate the fetch through the
-   address space (raising the precise fault if it must) and re-pin the
-   page to the current mapping geometry. *)
-let refill t space pc slot =
-  let seg, delta, hi = As.exec_view space pc in
-  let dp =
-    match t.icache.(slot) with
-    | Some dp ->
-      Array.fill dp.dp_words 0 insns_per_page (-1);
-      dp
-    | None ->
-      let dp =
-        {
-          dp_page = 0;
-          dp_epoch = 0;
-          dp_hi = 0;
-          dp_delta = 0;
-          dp_seg = seg;
-          dp_version = 0;
-          dp_words = Array.make insns_per_page (-1);
-          dp_insns = Array.make insns_per_page Insn.Break;
-        }
-      in
-      t.icache.(slot) <- Some dp;
-      dp
-  in
-  dp.dp_page <- Layout.page_down pc;
-  dp.dp_epoch <- As.epoch space;
-  dp.dp_hi <- hi;
-  dp.dp_delta <- delta;
-  dp.dp_seg <- seg;
-  dp.dp_version <- Segment.version seg;
-  decode_into t dp (Segment.get_u32 seg (pc + delta)) ((pc land (Layout.page_size - 1)) lsr 2)
-
-let fetch_insn t space pc =
-  if not !decode_cache_enabled then begin
-    let word = As.fetch space pc in
-    match Insn.decode word with
-    | insn -> insn
-    | exception Failure _ -> raise (Illegal_insn { ill_pc = pc; ill_word = word })
-  end
-  else begin
-    let slot = icache_slot pc in
-    match t.icache.(slot) with
-    | Some dp
-      when dp.dp_page = pc land lnot (Layout.page_size - 1)
-           && dp.dp_epoch = As.epoch space
-           && pc + 4 <= dp.dp_hi ->
-      (* idx is masked to the page, so it always indexes the 1024-slot
-         arrays in bounds. *)
-      let idx = (pc land (Layout.page_size - 1)) lsr 2 in
-      if Segment.version dp.dp_seg = dp.dp_version then
-        (* Untouched since fill: the cached word is the current word. *)
-        if Array.unsafe_get dp.dp_words idx >= 0 then begin
-          (Stats.cur ()).decode_hits <- (Stats.cur ()).decode_hits + 1;
-          Array.unsafe_get dp.dp_insns idx
-        end
-        else decode_into t dp (Segment.get_u32 dp.dp_seg (pc + dp.dp_delta)) idx
-      else begin
-        (* Segment written since fill: verify the word before reuse. *)
-        let word = Segment.get_u32 dp.dp_seg (pc + dp.dp_delta) in
-        if Array.unsafe_get dp.dp_words idx = word then begin
-          (Stats.cur ()).decode_hits <- (Stats.cur ()).decode_hits + 1;
-          Array.unsafe_get dp.dp_insns idx
-        end
-        else decode_into t dp word idx
-      end
-    | Some _ | None -> refill t space pc slot
-  end
+    (* Undecodable word: an illegal-instruction trap, not a host error. *)
+    raise (Illegal_insn { ill_pc = pc; ill_word = word })
 
 let step t space ~syscall =
   let pc = t.pc in
-  let insn = fetch_insn t space pc in
+  let insn = fetch_insn space pc in
   (Stats.cur ()).instructions <- (Stats.cur ()).instructions + 1;
   let next = pc + 4 in
   (* Single-dispatch: every arm finishes the instruction itself, so the
@@ -275,8 +148,6 @@ let step t space ~syscall =
     t.pc <- next;
     Running
   | Insn.Sw (rt, base, off) ->
-    (* No explicit icache invalidation needed: the store bumps the
-       segment's version, which gates decode-cache reuse. *)
     As.store_u32 space (Codec.mask32 ((Array.unsafe_get t.regs base) + off))
       (Array.unsafe_get t.regs rt);
     t.pc <- next;

@@ -5,22 +5,16 @@
     after the kernel runs the process's SIGSEGV handler the instruction
     restarts, exactly the behaviour Hemlock's lazy linker relies on. *)
 
-(** One page's worth of decoded instructions (see [decode_cache_enabled]). *)
-type dpage
-
+(** A CPU: registers, pc and its trace-JIT state.  The interpreter
+    keeps no decoded-instruction cache: every fetch reads the word
+    through the address space and decodes it, so protections and
+    stores are seen at once.  The trace JIT is the only cache of
+    decoded code. *)
 type t = {
   regs : int array;
   mutable pc : int;
-  icache : dpage option array;
   jit : Trace.state;  (** per-CPU trace-JIT state (see {!Trace}) *)
 }
-
-(** Per-page decoded-instruction cache switch; defaults to [true] unless
-    the [HEMLOCK_NO_DCACHE] environment variable is set.  Reuse of a
-    cached decode is gated on re-reading the backing word through the
-    address space, so the cache is observability-only: execution,
-    faults, and simulated costs are identical either way. *)
-val decode_cache_enabled : bool ref
 
 type status =
   | Running
@@ -36,7 +30,8 @@ exception Illegal_insn of { ill_pc : int; ill_word : int }
 
 val create : entry:int -> sp:int -> t
 
-(** [fork t] copies registers and pc; the decode cache starts empty. *)
+(** [fork t] copies registers and pc; the child's trace-JIT state
+    starts empty. *)
 val fork : t -> t
 
 val reg : t -> Reg.t -> int

@@ -4,11 +4,12 @@ module Prot = Hemlock_vm.Prot
 module Segment = Hemlock_vm.Segment
 module Codec = Hemlock_util.Codec
 module Stats = Hemlock_util.Stats
+module Env = Hemlock_util.Env
 
 (* --- Trace JIT: threaded OCaml closure chains ------------------------
 
-   The interpreter pays fetch + decode + dispatch for every instruction,
-   even with the per-page decode cache.  This module removes all three
+   The interpreter pays fetch + decode + dispatch for every instruction
+   (it keeps no decoded-instruction cache).  This module removes all three
    on hot paths: once a basic-block head has been entered [threshold]
    times, the straight-line run starting there — extended across
    unconditional branches, inlined calls and matched returns into a
@@ -20,7 +21,8 @@ module Stats = Hemlock_util.Stats
    address space's checked accessors (exact fault semantics) on any
    miss.
 
-   Coherence rides exactly the decode cache's protocol:
+   Coherence rides on two counters, the address-space epoch and the
+   segment version:
 
    - every compiled instruction is recorded as a (segment, offset, word)
      dependency; entry validation compares [Segment.version] per
@@ -54,19 +56,13 @@ module Stats = Hemlock_util.Stats
    (like [Cpu.step], which bills before executing), and syscall/halt
    exits replicate [Cpu.run_trap]'s accounting exactly. *)
 
-let enabled = ref (Sys.getenv_opt "HEMLOCK_NO_JIT" = None)
-let log_enabled = ref (Sys.getenv_opt "HEMLOCK_JIT_LOG" <> None)
+let enabled = ref (not (Env.flag "HEMLOCK_NO_JIT"))
+let log_enabled = ref (Env.flag "HEMLOCK_JIT_LOG")
 
 let default_threshold = 50
 
 let threshold =
-  ref
-    (match Sys.getenv_opt "HEMLOCK_JIT_THRESHOLD" with
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> default_threshold)
-    | None -> default_threshold)
+  ref (Option.value ~default:default_threshold (Env.int ~min:1 "HEMLOCK_JIT_THRESHOLD"))
 
 let max_insns = 512
 let max_inline = 16
@@ -91,7 +87,7 @@ type ctx = {
 
 (* One contiguous run of compiled code words: the unit of invalidation
    checking.  [d_ver] is re-stamped whenever word verification proves
-   the bytes unchanged, mirroring the decode cache's degradation. *)
+   the bytes unchanged. *)
 type dep = {
   d_vlo : int;  (* vaddr of the first word *)
   d_seg : Segment.t;
@@ -385,7 +381,7 @@ let select regs space entry =
 
 (* --- validation ------------------------------------------------------ *)
 
-(* The decode cache's degradation, per dependency run: an untouched
+(* Word verification, per dependency run: an untouched
    version proves the bytes; a moved version falls back to re-reading
    and comparing every word, re-stamping the version on an exact match
    so the next check is cheap again. *)

@@ -10,11 +10,11 @@
     compiled as side-exit guards) and subsequent entries run the
     closure chain instead of the interpreter.
 
-    Coherence uses exactly the decode cache's gating: compiled code
-    words are pinned under [(As.epoch, Segment.version)], degrading to
-    word verification when a version moved, and every store executed
-    inside a trace re-checks the trace's own code dependencies so
-    self-modifying code can never run one stale instruction.  Simulated
+    Coherence: compiled code words are pinned under
+    [(As.epoch, Segment.version)], degrading to word verification when
+    a version moved, and every store executed inside a trace re-checks
+    the trace's own code dependencies so self-modifying code can never
+    run one stale instruction.  Simulated
     costs (instruction ticks, fuel, syscall/halt/fault accounting) are
     bit-identical to the interpreter; only the [jit_*] observability
     counters in {!Hemlock_util.Stats} differ.

@@ -72,7 +72,7 @@ let load_size t =
    are memoized per physical symbol list, so `{obj with ...}` copies
    share them and a re-parsed object builds its own. *)
 
-let sym_hash_enabled = ref (Sys.getenv_opt "HEMLOCK_NO_SYMHASH" = None)
+let sym_hash_enabled = ref (not (Hemlock_util.Env.flag "HEMLOCK_NO_SYMHASH"))
 
 type index = {
   ix_mask : int;  (* bucket count - 1 (power of two) *)

@@ -1,4 +1,5 @@
 module Stats = Hemlock_util.Stats
+module Env = Hemlock_util.Env
 module Fault = Hemlock_util.Fault
 module Domain_pool = Hemlock_util.Domain_pool
 
@@ -217,25 +218,12 @@ let mailbox_stats t i =
         max horizon m.m_mature ))
     (0, 0, 0) pending
 
-let domains_from_env () =
-  match Sys.getenv_opt "HEMLOCK_DOMAINS" with
-  | None | Some "" -> 1
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> 1)
+let domains_from_env () = Option.value ~default:1 (Env.int ~min:1 "HEMLOCK_DOMAINS")
 
 (* ----- reliable per-datagram send ----- *)
 
-let retries_from_env () =
-  match Option.bind (Sys.getenv_opt "HEMLOCK_NET_RETRIES") int_of_string_opt with
-  | Some n when n >= 0 -> n
-  | Some _ | None -> 4
-
-let timeout_from_env () =
-  match Option.bind (Sys.getenv_opt "HEMLOCK_NET_TIMEOUT") int_of_string_opt with
-  | Some n when n >= 1 -> n
-  | Some _ | None -> 4
+let retries_from_env () = Option.value ~default:4 (Env.int ~min:0 "HEMLOCK_NET_RETRIES")
+let timeout_from_env () = Option.value ~default:4 (Env.int ~min:1 "HEMLOCK_NET_TIMEOUT")
 
 (* The retry window stops doubling here: with the default base of 4
    rounds and 4 retries the whole exchange resolves within ~60 rounds

@@ -1,5 +1,6 @@
 module Prng = Hemlock_util.Prng
 module Stats = Hemlock_util.Stats
+module Env = Hemlock_util.Env
 
 type profile = Ideal | Lan | Wan | Lossy
 
@@ -17,14 +18,15 @@ let profile_of_string = function
   | s -> invalid_arg (Printf.sprintf "Net.profile_of_string: unknown profile %S" s)
 
 let profile_from_env () =
-  match Sys.getenv_opt "HEMLOCK_NET_PROFILE" with
-  | None | Some "" -> Ideal
-  | Some s -> profile_of_string (String.trim s)
+  match Env.string "HEMLOCK_NET_PROFILE" with
+  | None -> Ideal
+  | Some s -> (
+    try profile_of_string s
+    with Invalid_argument _ ->
+      failwith
+        (Printf.sprintf "HEMLOCK_NET_PROFILE=%S: expected ideal, lan, wan or lossy" s))
 
-let seed_from_env () =
-  match Option.bind (Sys.getenv_opt "HEMLOCK_NET_SEED") int_of_string_opt with
-  | Some n -> n
-  | None -> 1
+let seed_from_env () = Option.value ~default:1 (Env.int "HEMLOCK_NET_SEED")
 
 (* Loss and duplication are per-mille probabilities; latency is uniform
    in [lat_min, lat_max] rounds.  [Ideal] must stay draw-free so the

@@ -124,9 +124,6 @@ let hit site =
 (* Environment-driven arming, so whole binaries (the CI fault sweep, the
    golden-transcript runs) can inject without code changes. *)
 let () =
-  match Sys.getenv_opt "HEMLOCK_FAULT_PLAN" with
+  match Env.string "HEMLOCK_FAULT_PLAN" with
   | Some plan -> configure plan
-  | None -> (
-    match Option.bind (Sys.getenv_opt "HEMLOCK_FAULT_SEED") int_of_string_opt with
-    | Some seed -> configure_random seed
-    | None -> ())
+  | None -> Option.iter configure_random (Env.int "HEMLOCK_FAULT_SEED")

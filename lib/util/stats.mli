@@ -23,7 +23,9 @@ type t = {
   mutable tlb_misses : int;
       (** software-TLB misses, i.e. full interval-map lookups *)
   mutable decode_hits : int;
-      (** decoded-instruction cache hits in [Cpu] (observability only) *)
+      (** always 0: the interpreter has had no decoded-instruction cache
+          since the cache was retired.  Kept because [hembench] still
+          reports it as [isa.decode_hits_per_kinsn]. *)
   mutable sym_hash_hits : int;
       (** symbol lookups answered by a hashed export index or a
           resolution cache (observability only) *)

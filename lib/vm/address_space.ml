@@ -37,7 +37,7 @@ let effective m = if m.cow then Prot.strip_write m.prot else m.prot
    Invalidation is epoch-based and conservative: [map], [unmap] and
    [protect] bump [epoch] and flush every entry.  [clone] builds a
    child with a fresh (empty) TLB.  The [epoch] is exported so the
-   CPU's decoded-instruction cache can ride the same protocol. *)
+   trace JIT can ride the same protocol. *)
 
 let tlb_bits = 8
 let tlb_size = 1 lsl tlb_bits
@@ -65,7 +65,7 @@ type t = {
 
 (* Flipped off by setting HEMLOCK_NO_TLB, which keeps the slow path
    testable and lets the determinism tests compare both. *)
-let caching_default = ref (Sys.getenv_opt "HEMLOCK_NO_TLB" = None)
+let caching_default = ref (not (Hemlock_util.Env.flag "HEMLOCK_NO_TLB"))
 
 let next_uid = Atomic.make 0
 
@@ -230,6 +230,12 @@ let tlb_entry t addr =
   (* the mask keeps the index in bounds, so skip the array check *)
   Array.unsafe_get t.tlb ((p lxor (p lsr 8)) land (tlb_size - 1))
 
+(* One [Stats.cur] per hit: the counter sits on every interpreted fetch,
+   load and store, where a second DLS lookup is measurable. *)
+let count_tlb_hit () =
+  let st = Stats.cur () in
+  st.tlb_hits <- st.tlb_hits + 1
+
 let prot_mask p =
   (if Prot.allows p Prot.Read then 1 else 0)
   lor (if Prot.allows p Prot.Write then 2 else 0)
@@ -271,7 +277,7 @@ let lookup t addr access =
     let e = tlb_entry t addr in
     match e.te_seg with
     | Some seg when e.te_page = Layout.page_down addr ->
-      (Stats.cur ()).tlb_hits <- (Stats.cur ()).tlb_hits + 1;
+      count_tlb_hit ();
       (seg, addr + e.te_delta, e.te_hi - addr, e.te_prot)
     | Some _ | None ->
       (Stats.cur ()).tlb_misses <- (Stats.cur ()).tlb_misses + 1;
@@ -286,8 +292,8 @@ let translate t addr access width =
   (seg, off)
 
 (* The mapping geometry behind a (validated) 4-byte exec access at
-   [addr]: [(seg, delta, hi)] with [delta = off - addr].  The CPU's
-   decode cache pins these per page. *)
+   [addr]: [(seg, delta, hi)] with [delta = off - addr].  The trace
+   JIT pins these per dependency run. *)
 let exec_view t addr =
   let seg, off, run, prot = lookup t addr Prot.Exec in
   if 4 > run then raise (Fault { addr; access = Prot.Exec; reason = Unmapped });
@@ -322,7 +328,7 @@ let load_u8 t addr =
          && e.te_page = Layout.page_down addr
          && addr < e.te_hi
          && e.te_mask land 1 <> 0 ->
-    (Stats.cur ()).tlb_hits <- (Stats.cur ()).tlb_hits + 1;
+    count_tlb_hit ();
     Segment.get_u8 seg (addr + e.te_delta)
   | _ ->
     let seg, off = translate t addr Prot.Read 1 in
@@ -336,7 +342,7 @@ let load_u32 t addr =
          && e.te_page = Layout.page_down addr
          && addr + 4 <= e.te_hi
          && e.te_mask land 1 <> 0 ->
-    (Stats.cur ()).tlb_hits <- (Stats.cur ()).tlb_hits + 1;
+    count_tlb_hit ();
     Segment.get_u32 seg (addr + e.te_delta)
   | _ ->
     let seg, off = translate t addr Prot.Read 4 in
@@ -350,7 +356,7 @@ let store_u8 t addr v =
          && e.te_page = Layout.page_down addr
          && addr < e.te_hi
          && e.te_mask land 2 <> 0 ->
-    (Stats.cur ()).tlb_hits <- (Stats.cur ()).tlb_hits + 1;
+    count_tlb_hit ();
     Segment.set_u8 seg (addr + e.te_delta) v
   | _ ->
     let seg, off = translate t addr Prot.Write 1 in
@@ -364,7 +370,7 @@ let store_u32 t addr v =
          && e.te_page = Layout.page_down addr
          && addr + 4 <= e.te_hi
          && e.te_mask land 2 <> 0 ->
-    (Stats.cur ()).tlb_hits <- (Stats.cur ()).tlb_hits + 1;
+    count_tlb_hit ();
     Segment.set_u32 seg (addr + e.te_delta) v
   | _ ->
     let seg, off = translate t addr Prot.Write 4 in
@@ -378,7 +384,7 @@ let fetch t addr =
          && e.te_page = Layout.page_down addr
          && addr + 4 <= e.te_hi
          && e.te_mask land 4 <> 0 ->
-    (Stats.cur ()).tlb_hits <- (Stats.cur ()).tlb_hits + 1;
+    count_tlb_hit ();
     Segment.get_u32 seg (addr + e.te_delta)
   | _ ->
     let seg, off = translate t addr Prot.Exec 4 in

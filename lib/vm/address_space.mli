@@ -45,7 +45,7 @@ type mapping = {
 exception Cstring_unterminated of int
 
 (** Default for {!create}'s [?caching]: [true] unless the
-    [HEMLOCK_NO_TLB] environment variable is set.  The TLB and the
+    [HEMLOCK_NO_TLB] switch is on (see {!Hemlock_util.Env.flag}).  The TLB and the
     bulk-copy fast paths are observability-only — simulated costs are
     identical either way; the switch exists so the slow path stays
     testable. *)
@@ -57,8 +57,8 @@ val caching_default : bool ref
 val create : ?caching:bool -> unit -> t
 
 (** Invalidation epoch: bumped by every [map]/[unmap]/[protect].
-    Derived caches (e.g. the CPU's decoded-instruction cache) must be
-    discarded when it changes. *)
+    Derived caches (e.g. the trace JIT's compiled code) must be
+    revalidated when it changes. *)
 val epoch : t -> int
 
 (** [map t ~base ~len ~seg ~prot ~share ~label] installs a mapping.
@@ -131,7 +131,7 @@ val fetch : t -> int -> int
     geometry [(seg, delta, hi)], where [addr' + delta] is the segment
     offset of any [addr'] in the same mapping and [hi] is its exclusive
     bound.  The result is valid until {!epoch} changes.  Used by the
-    CPU's decoded-instruction cache. *)
+    trace JIT. *)
 val exec_view : t -> int -> Segment.t * int * int
 
 (** [data_view t addr access] is the mapping geometry [(seg, delta, hi)]

@@ -27,10 +27,7 @@ type t = {
   big : bool;  (* kill switch: behave as a single mutex *)
 }
 
-let no_rangelock =
-  match Sys.getenv_opt "HEMLOCK_NO_RANGELOCK" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
+let no_rangelock = Hemlock_util.Env.flag "HEMLOCK_NO_RANGELOCK"
 
 let create () =
   { lock = Mutex.create (); cond = Condition.create (); holds = []; big = no_rangelock }

@@ -47,7 +47,7 @@ type t = {
 
 (* HEMLOCK_NO_COW restores eager deep copies (and, with them, the
    seed's exact billing of fork into [bytes_copied]) for A/B in CI. *)
-let cow_enabled = ref (Sys.getenv_opt "HEMLOCK_NO_COW" = None)
+let cow_enabled = ref (not (Hemlock_util.Env.flag "HEMLOCK_NO_COW"))
 
 let next_id = Atomic.make 0
 

@@ -1,4 +1,5 @@
 module Stats = Hemlock_util.Stats
+module Env = Hemlock_util.Env
 module Fault = Hemlock_util.Fault
 
 (* --- VmObjects: residency and backing identity ------------------------
@@ -15,9 +16,9 @@ module Fault = Hemlock_util.Fault
    the segment keeps them, standing in for the backing store — it
    clears the residency bit, pushes a dirty file-backed page through
    the owning file system's journalled writeback barrier, and bumps the
-   epoch of every attached address space so TLBs, decode caches and
-   compiled traces refetch through the slow path (which is where the
-   next touch faults).  A missed residency check can therefore skew the
+   epoch of every attached address space so TLBs and compiled traces
+   refetch through the slow path (which is where the next touch
+   faults).  A missed residency check can therefore skew the
    observability counters but can never corrupt data. *)
 
 type kind =
@@ -41,7 +42,7 @@ type t = {
 (* HEMLOCK_NO_PAGER restores the seed's eager behaviour: every page of
    every mapping is considered resident, nothing faults, nothing is
    evicted.  The simulated cost model is byte-identical either way. *)
-let enabled = ref (Sys.getenv_opt "HEMLOCK_NO_PAGER" = None)
+let enabled = ref (not (Env.flag "HEMLOCK_NO_PAGER"))
 
 (* Simulated-RAM budget in pages ([None] = unbounded).  The clamp keeps
    the clock from thrashing the handful of pages a single instruction
@@ -49,11 +50,7 @@ let enabled = ref (Sys.getenv_opt "HEMLOCK_NO_PAGER" = None)
 let min_ram_pages = 8
 
 let ram_pages =
-  ref
-    (match Sys.getenv_opt "HEMLOCK_RAM_PAGES" with
-    | Some s -> (
-      match int_of_string_opt s with Some n when n > 0 -> Some n | Some _ | None -> None)
-    | None -> None)
+  ref (match Env.int ~min:0 "HEMLOCK_RAM_PAGES" with Some 0 | None -> None | n -> n)
 
 let budget () = Option.map (max min_ram_pages) !ram_pages
 

@@ -33,7 +33,7 @@ type t
 val enabled : bool ref
 
 (** Simulated RAM in pages ([None] = unbounded, the default; set
-    [HEMLOCK_RAM_PAGES]).  Values are clamped to {!min_ram_pages} when
+    [HEMLOCK_RAM_PAGES], where [0] also means unbounded).  Values are clamped to {!min_ram_pages} when
     consumed.  Change it only around {!reset}. *)
 val ram_pages : int option ref
 

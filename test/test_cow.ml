@@ -143,10 +143,9 @@ let cow_genuine_fault_not_swallowed () =
 let no_syscall _ = Alcotest.fail "unexpected syscall"
 
 (* Parent patches its own text after fork: the parent must execute the
-   new instruction, the child the old one — even with both decode
-   caches warm.  The parent's page copy bumps only the parent segment's
-   version (and [resolve_cow] only the parent's epoch), so the child's
-   cached decodes stay valid, as they should. *)
+   new instruction, the child the old one, even after both have run the
+   shared page.  The parent's store copies the page into the parent's
+   segment only, so the child's bytes do not change. *)
 let cow_self_modifying_after_fork () =
   with_cow true (fun () ->
       let old_insn = Insn.encode (Insn.Addi (Reg.t1, Reg.zero, 11)) in
@@ -162,7 +161,7 @@ let cow_self_modifying_after_fork () =
       check_int "before fork" 11 (Cpu.reg cpu Reg.t1);
       let child_sp = As.clone sp in
       let child_cpu = Cpu.fork cpu in
-      (* Warm the child's decode cache on the shared text. *)
+      (* Run the child once on the shared text before the patch. *)
       child_cpu.Cpu.pc <- 0x1000;
       ignore (Cpu.run ~fuel:10 child_cpu child_sp ~syscall:no_syscall);
       check_int "child before patch" 11 (Cpu.reg child_cpu Reg.t1);

@@ -186,16 +186,12 @@ let fd_traffic_matches_oracle =
 
 (* ----- ISA-visible errnos: negative v0, process recovers ----- *)
 
-(* Same switch the benchmarks use: run with both memory fast paths on,
-   then with both off, to show errno delivery is cache-independent. *)
+(* Same switch the benchmarks use: run with the TLB on, then off, to
+   show errno delivery is cache-independent. *)
 let with_caches on f =
-  let tlb = !As.caching_default and dc = !Cpu.decode_cache_enabled in
+  let tlb = !As.caching_default in
   As.caching_default := on;
-  Cpu.decode_cache_enabled := on;
-  Fun.protect ~finally:(fun () ->
-      As.caching_default := tlb;
-      Cpu.decode_cache_enabled := dc)
-    f
+  Fun.protect ~finally:(fun () -> As.caching_default := tlb) f
 
 let errno_program =
   {|
@@ -231,7 +227,7 @@ let isa_errno_recovery () =
   in
   let expected = "ENOENT fd=3 w=2 r=2 hi again=-9" in
   check_string "fast path" expected (run_once true);
-  check_string "no TLB / no dcache" expected (run_once false)
+  check_string "no TLB" expected (run_once false)
 
 let suite =
   [

@@ -260,17 +260,19 @@ let cpu_syscall_callback () =
   (* pc advanced past the trap before the callback ran *)
   check_int "pc after break" 0x1008 cpu.Cpu.pc
 
-(* ----- decoded-instruction cache ----- *)
+(* ----- instruction fetch ----- *)
 
-let with_dcache enabled f =
-  let old = !Cpu.decode_cache_enabled in
-  Cpu.decode_cache_enabled := enabled;
-  Fun.protect ~finally:(fun () -> Cpu.decode_cache_enabled := old) f
+(* Run [f] with the software TLB on or off; the fetch path must behave
+   the same either way. *)
+let with_tlb enabled f =
+  let old = !As.caching_default in
+  As.caching_default := enabled;
+  Fun.protect ~finally:(fun () -> As.caching_default := old) f
 
-(* Self-modifying code: execute an instruction (filling the decode
-   cache), overwrite it with a store, loop back, and execute the new
-   one.  The segment version bump must make the cache re-decode. *)
-let dcache_self_modifying () =
+(* Self-modifying code: execute an instruction, overwrite it with a
+   store, loop back, and execute the new one.  The next fetch must see
+   the stored word. *)
+let self_modifying_code () =
   let patched = Insn.encode (Insn.Addi (Reg.t1, Reg.zero, 22)) in
   let program =
     [
@@ -289,26 +291,29 @@ let dcache_self_modifying () =
   in
   List.iter
     (fun enabled ->
-      with_dcache enabled (fun () ->
+      with_tlb enabled (fun () ->
           let cpu = run_insns ~steps:50 program in
           check_int
-            (Printf.sprintf "patched insn executed (dcache %b)" enabled)
+            (Printf.sprintf "patched insn executed (TLB %b)" enabled)
             22 (Cpu.reg cpu Reg.t1)))
     [ true; false ]
 
-(* Dropping exec permission must fault the very next fetch even though
-   the page's decodes are cached (epoch invalidation). *)
-let dcache_respects_protect () =
-  with_dcache true (fun () ->
-      let sp = make_space [ Insn.Beq (Reg.zero, Reg.zero, -1) ] in
-      let cpu = Cpu.create ~entry:0x1000 ~sp:0x8800 in
-      (match Cpu.run ~fuel:10 cpu sp ~syscall:no_syscall with
-      | Cpu.Running -> ()
-      | Cpu.Halted _ -> Alcotest.fail "loop should not halt");
-      As.protect sp 0x1000 Prot.Read_write;
-      match Cpu.step cpu sp ~syscall:no_syscall with
-      | exception As.Fault { access = Prot.Exec; reason = As.Protection; _ } -> ()
-      | _ -> Alcotest.fail "fetch after dropping exec must fault")
+(* Dropping exec permission must fault the very next fetch of code that
+   has already run (the lazy linker's no-access trick). *)
+let fetch_respects_protect () =
+  List.iter
+    (fun enabled ->
+      with_tlb enabled (fun () ->
+          let sp = make_space [ Insn.Beq (Reg.zero, Reg.zero, -1) ] in
+          let cpu = Cpu.create ~entry:0x1000 ~sp:0x8800 in
+          (match Cpu.run ~fuel:10 cpu sp ~syscall:no_syscall with
+          | Cpu.Running -> ()
+          | Cpu.Halted _ -> Alcotest.fail "loop should not halt");
+          As.protect sp 0x1000 Prot.Read_write;
+          match Cpu.step cpu sp ~syscall:no_syscall with
+          | exception As.Fault { access = Prot.Exec; reason = As.Protection; _ } -> ()
+          | _ -> Alcotest.fail "fetch after dropping exec must fault"))
+    [ true; false ]
 
 (* ----- assembler ----- *)
 
@@ -464,8 +469,8 @@ let suite =
     test "cpu: fault leaves pc for restart" cpu_fault_leaves_pc;
     test "cpu: break halts with code" cpu_halted_code;
     test "cpu: syscall callback" cpu_syscall_callback;
-    test "cpu: self-modifying code re-decodes" dcache_self_modifying;
-    test "cpu: decode cache respects protect" dcache_respects_protect;
+    test "cpu: self-modifying code re-decodes" self_modifying_code;
+    test "cpu: fetch respects protect" fetch_respects_protect;
     test "asm: sections and symbols" asm_sections_and_symbols;
     test "asm: branch backpatching" asm_branches_backpatch;
     test "asm: relocation records" asm_relocs;

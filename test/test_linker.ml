@@ -53,6 +53,15 @@ let search_runtime_order () =
     [ "/new"; "/home/u"; "/usr/lib" ]
     (Search.runtime_dirs ctx ~recorded:[ "/home/u"; "/usr/lib" ])
 
+let search_ld_library_path () =
+  let llp v = Search.ld_library_path [ ("HOME", "/home/u"); ("LD_LIBRARY_PATH", v) ] in
+  Alcotest.(check (list string)) "empty components dropped, order kept" [ "a"; "b" ]
+    (llp "a::b:");
+  Alcotest.(check (list string)) "order kept" [ "/z"; "/a"; "/m" ] (llp "/z:/a:/m");
+  Alcotest.(check (list string)) "only separators" [] (llp ":::");
+  Alcotest.(check (list string)) "empty" [] (llp "");
+  Alcotest.(check (list string)) "unset" [] (Search.ld_library_path [ ("HOME", "/home/u") ])
+
 let locate_first_wins () =
   let k, _ = boot () in
   let fs = Kernel.fs k in
@@ -396,6 +405,7 @@ let suite =
     test "sharing: Table 1 semantics" sharing_table;
     test "search: static-link-time order" search_static_order;
     test "search: run-time order" search_runtime_order;
+    test "search: LD_LIBRARY_PATH splitting" search_ld_library_path;
     test "search: locate picks first, keeps symlinks" locate_first_wins;
     test "reloc: ABS32/HI16/LO16" reloc_abs_hi_lo;
     test "reloc: GPREL16 range and absence" reloc_gprel;

@@ -13,12 +13,9 @@ module Net = Hemlock_os.Net
 module Errno = Hemlock_os.Errno
 module Modgen = Hemlock_apps.Modgen
 
-(* Matches Range_lock's own parse of the kill switch: some properties
-   only hold at range granularity. *)
-let big_lock_mode =
-  match Sys.getenv_opt "HEMLOCK_NO_RANGELOCK" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
+(* Read like Range_lock's own kill switch: some properties only hold at
+   range granularity. *)
+let big_lock_mode = Hemlock_util.Env.flag "HEMLOCK_NO_RANGELOCK"
 
 (* ----- range locks ----- *)
 

@@ -3,6 +3,7 @@ module Interval_map = Hemlock_util.Interval_map
 module Codec = Hemlock_util.Codec
 module Prng = Hemlock_util.Prng
 module Stats = Hemlock_util.Stats
+module Env = Hemlock_util.Env
 
 (* ----- interval map ----- *)
 
@@ -204,6 +205,45 @@ let stats_json_roundtrip () =
   check_int "present key parsed" 9 partial.Stats.faults;
   check_int "missing key zero" 0 partial.Stats.instructions
 
+(* ----- environment switches ----- *)
+
+let env_flags () =
+  List.iter
+    (fun (v, want) ->
+      check_bool (Printf.sprintf "flag %s" (Option.value ~default:"unset" v)) want
+        (Env.flag_of v))
+    [
+      (None, false);
+      (Some "", false);
+      (Some "  ", false);
+      (Some "0", false);
+      (Some " 0 ", false);
+      (Some "1", true);
+      (Some "yes", true);
+      (Some "00", true);
+    ];
+  check_bool "string unset" true (Env.string_of None = None);
+  check_bool "string blank" true (Env.string_of (Some " ") = None);
+  check_bool "string trimmed" true (Env.string_of (Some " lossy ") = Some "lossy")
+
+let env_ints () =
+  check_bool "unset" true (Env.int_of ~min:1 "V" None = None);
+  check_bool "empty" true (Env.int_of ~min:1 "V" (Some "") = None);
+  check_bool "number" true (Env.int_of ~min:1 "V" (Some " 32 ") = Some 32);
+  check_bool "at min" true (Env.int_of ~min:0 "V" (Some "0") = Some 0);
+  check_bool "negative, no min" true (Env.int_of "V" (Some "-3") = Some (-3));
+  let rejects what v min =
+    match Env.int_of ~min "HEMLOCK_X" (Some v) with
+    | _ -> Alcotest.failf "%s: %S accepted" what v
+    | exception Failure msg ->
+      check_bool (what ^ ": error names the variable") true
+        (String.length msg >= 9 && String.sub msg 0 9 = "HEMLOCK_X")
+  in
+  rejects "malformed" "abc" 0;
+  rejects "trailing junk" "32k" 0;
+  rejects "below min" "0" 1;
+  rejects "negative" "-1" 0
+
 let suite =
   [
     test "interval_map: basic add/find" im_basic;
@@ -223,4 +263,6 @@ let suite =
     test "stats: measure deltas" stats_measure;
     test "stats: cycle model" stats_cycles_model;
     test "stats: JSON round-trip" stats_json_roundtrip;
+    test "env: switches: unset, empty or 0 is off" env_flags;
+    test "env: numbers: malformed values name the variable" env_ints;
   ]
