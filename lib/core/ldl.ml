@@ -70,9 +70,31 @@ type pstate = {
   mutable ps_digest : Bytes.t;  (* 16 raw digest bytes *)
 }
 
+(* An exited process's link state rides on its [Proc.t]: post-mortem
+   readers holding the record still see it, and it is freed with the
+   record. *)
+type Proc.remains += Link_state of pstate
+
+(* A process's row in [linkstat_json]: its provenance folded into
+   per-source and per-probe symbol counts, each sorted by key.  All that
+   is kept of an exited process. *)
+type linkstat_row = {
+  lr_prog : string;
+  lr_symbols : int;
+  lr_by_source : (string * int) list;
+  lr_by_probe : (string * int) list;
+}
+
 type t = {
   k : Kernel.t;
-  states : (int, pstate) Hashtbl.t;
+  states : (int, pstate) Hashtbl.t;  (* live processes only *)
+  exited : (int, linkstat_row) Hashtbl.t;
+  (* every template decoded for an instance since install, by content
+     identity (segment id, version): its first located path and its
+     decode.  [stable_sync] persists symbol indexes from here, so they
+     outlive the processes that decoded them; like the persisted files
+     themselves, the table survives reboots. *)
+  templates : (int * int, string * Objfile.t) Hashtbl.t;
   mutable warn : string list;
   mutable bind_now : bool;
   plans : Modinst.scope Link_plan.store;  (* kernel-wide memoized link plans *)
@@ -105,7 +127,13 @@ let warn t fmt = Printf.ksprintf (fun s -> t.warn <- s :: t.warn) fmt
 let ctx_of t proc =
   { Search.fs = Kernel.fs t.k; cwd = proc.Proc.cwd; env = proc.Proc.env }
 
-let state t proc = Hashtbl.find_opt t.states proc.Proc.pid
+let state t proc =
+  match Hashtbl.find_opt t.states proc.Proc.pid with
+  | Some ps -> Some ps
+  | None ->
+    List.find_map (function Link_state ps -> Some ps | _ -> None) proc.Proc.remains
+
+let live_states t = Hashtbl.length t.states
 
 let note_prov ps name ~source ~probe ~origin ~scope =
   match Hashtbl.find_opt ps.ps_prov name with
@@ -168,8 +196,12 @@ let digest_xor acc frag =
     Bytes.set acc i (Char.chr (Char.code (Bytes.get acc i) lxor Char.code frag.[i]))
   done
 
-(* Register a fresh instance in the list and every index. *)
-let add_instance ps inst =
+(* Register a fresh instance in the list and every index, and its
+   template in the kernel-wide table (first registration wins). *)
+let add_instance t ps inst =
+  let src = inst.Modinst.inst_src in
+  if src <> (-1, -1) && not (Hashtbl.mem t.templates src) then
+    Hashtbl.replace t.templates src (inst.Modinst.inst_key, inst.Modinst.inst_obj);
   ps.ps_instances <- inst :: ps.ps_instances;
   Hashtbl.replace ps.ps_by_key inst.Modinst.inst_key inst;
   let acc = Bytes.copy ps.ps_digest in
@@ -201,19 +233,6 @@ let rebuild_indexes ps =
   List.iter (fun i -> digest_xor acc (inst_fragment i)) ps.ps_instances;
   ps.ps_digest <- acc;
   ps.ps_unlinked <- List.filter (fun i -> not i.Modinst.inst_linked) ps.ps_instances
-
-(* Returns the decoded template and its content identity — the backing
-   segment's (id, version) — so callers can tell two decodes of the same
-   path apart after an in-place rewrite. *)
-let load_template ctx path =
-  match Fs.read_file ctx.Search.fs ~cwd:ctx.Search.cwd path with
-  | bytes -> (
-    let seg = Fs.segment_of ctx.Search.fs ~cwd:ctx.Search.cwd path in
-    match Link_plan.parse_obj ~seg bytes with
-    | obj -> (obj, (Segment.id seg, Segment.version seg))
-    | exception Failure msg -> errf "bad template %s: %s" path msg)
-  | exception Fs.Error { kind; _ } ->
-    errf "cannot read template %s: %s" path (Fs.err_kind_to_string kind)
 
 let is_shared_located located =
   Path.is_prefix ~prefix:[ "shared" ] (Path.of_string ~cwd:Path.root located)
@@ -261,7 +280,7 @@ let rec scope_dirs scope =
 let instantiate t proc ps ~located ~public ~parent_scope =
   Fault.hit "ldl.instantiate";
   let ctx = ctx_of t proc in
-  let obj, src = load_template ctx located in
+  let obj, src = Modinst.load_template ctx located in
   if obj.Objfile.uses_gp then
     errf "module %s uses $gp: ldl requires modules compiled with gp disabled" located;
   let scope =
@@ -356,7 +375,7 @@ let instantiate t proc ps ~located ~public ~parent_scope =
       unwind ();
       raise e
   in
-  add_instance ps inst;
+  add_instance t ps inst;
   (match t.plan_rec with
   | Some acc ->
     acc :=
@@ -856,7 +875,7 @@ let handle_fault t _k proc fault =
                                Fs.page_writeback (Kernel.fs t.k) ~path ~seg ~page);
                          })
                     ~prot:Prot.No_access ~share:As.Public ~label:path ());
-                add_instance ps inst;
+                add_instance t ps inst;
                 link_instance t proc ps inst)
           else
             (* An ordinary shared file: map it so the pointer chase can
@@ -985,6 +1004,40 @@ let clone_for_fork t ~parent ~child =
     rebuild_indexes child_ps;
     Hashtbl.replace t.states child.Proc.pid child_ps
 
+(* ----- exit hook ------------------------------------------------------------------ *)
+
+let bump tbl k n = Hashtbl.replace tbl k (n + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+
+let sorted_counts tbl =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let count_by field prov =
+  let tbl = Hashtbl.create 8 in
+  Hashtbl.iter (fun _ p -> bump tbl (field p) 1) prov;
+  sorted_counts tbl
+
+let row_of ps =
+  {
+    lr_prog = (match ps.ps_prog with Some (path, _, _) -> path | None -> "(attached)");
+    lr_symbols = Hashtbl.length ps.ps_prov;
+    lr_by_source = count_by (fun p -> p.pv_source) ps.ps_prov;
+    lr_by_probe = count_by (fun p -> p.pv_probe) ps.ps_prov;
+  }
+
+(* A dead process's link state leaves the kernel-lifetime table: its
+   linkstat row is kept as counts, and the state itself moves onto the
+   [Proc.t] for whoever still holds the record. *)
+let on_exit t proc =
+  let pid = proc.Proc.pid in
+  match Hashtbl.find_opt t.states pid with
+  | None -> ()
+  | Some ps ->
+    Hashtbl.remove t.states pid;
+    Hashtbl.replace t.exited pid (row_of ps);
+    proc.Proc.remains <- Link_state ps :: proc.Proc.remains
+
 (* ----- public entry points ---------------------------------------------------------- *)
 
 let install k =
@@ -992,6 +1045,8 @@ let install k =
     {
       k;
       states = Hashtbl.create 16;
+      exited = Hashtbl.create 16;
+      templates = Hashtbl.create 64;
       warn = [];
       bind_now = false;
       plans = Link_plan.create_store ();
@@ -1012,6 +1067,7 @@ let install k =
           | Would_block cond -> Kernel.block_syscall ~why:"ldl: a creation lock" cpu cond
           | Link_error msg -> warn t "ldl: %s" msg));
   Kernel.add_fork_hook k (fun ~parent ~child -> clone_for_fork t ~parent ~child);
+  Kernel.add_exit_hook k (on_exit t);
   (* Reboot kills the kernel-resident LINK STATE: the plan store, the
      template decode memo, the export-symbol indexes, the search/locate
      cache.  That is exactly the state stable linking persists into
@@ -1125,25 +1181,16 @@ let stable_sync t =
     { sync_plans = 0; sync_objs = 0; sync_skipped = 0 }
   else begin
     let plans = Link_plan.entries t.plans ~fs in
-    let objs = Hashtbl.create 64 in
-    (* Symbol indexes come from the live instance sets, not from plan
-       deps: a plan records only the instantiations its own region
-       performed (a driver that names every module up front leaves the
-       deps empty), while the instances hold every template actually
-       decoded. *)
-    Hashtbl.iter
-      (fun _ ps ->
-        Array.iter
-          (fun inst ->
-            let src = inst.Modinst.inst_src in
-            if src <> (-1, -1) && not (Hashtbl.mem objs src) then
-              Hashtbl.replace objs src (inst.Modinst.inst_key, inst.Modinst.inst_obj))
-          ps.ps_sorted)
-      t.states;
+    (* Symbol indexes come from every template an instance was built
+       from, not from plan deps: a plan records only the instantiations
+       its own region performed (a driver that names every module up
+       front leaves the deps empty). *)
     let obj_list =
       List.sort
         (fun ((a : string), _, _) (b, _, _) -> String.compare a b)
-        (Hashtbl.fold (fun src (located, obj) acc -> (located, src, obj) :: acc) objs [])
+        (Hashtbl.fold
+           (fun src (located, obj) acc -> (located, src, obj) :: acc)
+           t.templates [])
     in
     if plans <> [] || obj_list <> [] then Stable_link.ensure_dir fs;
     let nobjs = ref 0 and nplans = ref 0 and skipped = ref 0 in
@@ -1199,48 +1246,37 @@ let linkstat_proc_json t proc =
   Buffer.contents b
 
 (* Per-process aggregates plus kernel-wide totals and the full counter
-   set — the "kernel linkstat" dump. *)
+   set — the "kernel linkstat" dump.  Live processes are counted from
+   their provenance now; exited ones print the row kept at their exit. *)
 let linkstat_json t =
   let b = Buffer.create 2048 in
   Buffer.add_string b "{\n  \"processes\": [";
-  let pids =
-    List.sort compare (Hashtbl.fold (fun pid _ acc -> pid :: acc) t.states [])
+  let rows =
+    List.sort
+      (fun (p, _) (q, _) -> compare p q)
+      (Hashtbl.fold (fun pid ps acc -> (pid, row_of ps) :: acc) t.states
+         (Hashtbl.fold (fun pid row acc -> (pid, row) :: acc) t.exited []))
   in
   let tot = Hashtbl.create 16 in
-  let bump tbl k = Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k)) in
-  let counts_json tbl =
-    let rows =
-      List.sort
-        (fun (a, _) (b, _) -> String.compare a b)
-        (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-    in
+  let counts_json rows =
     String.concat ", "
       (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %d" (json_escape k) v) rows)
   in
   List.iteri
-    (fun i pid ->
-      let ps = Hashtbl.find t.states pid in
-      let sources = Hashtbl.create 8 and probes = Hashtbl.create 8 in
-      Hashtbl.iter
-        (fun _ p ->
-          bump sources p.pv_source;
-          bump probes p.pv_probe;
-          bump tot ("source:" ^ p.pv_source);
-          bump tot ("probe:" ^ p.pv_probe))
-        ps.ps_prov;
-      let prog =
-        match ps.ps_prog with Some (path, _, _) -> path | None -> "(attached)"
-      in
+    (fun i (pid, row) ->
+      List.iter (fun (k, n) -> bump tot ("source:" ^ k) n) row.lr_by_source;
+      List.iter (fun (k, n) -> bump tot ("probe:" ^ k) n) row.lr_by_probe;
       if i > 0 then Buffer.add_string b ",";
       Buffer.add_string b
         (Printf.sprintf
            "\n    { \"pid\": %d, \"prog\": \"%s\", \"n_symbols\": %d, \
             \"by_source\": { %s }, \"by_probe\": { %s } }"
-           pid (json_escape prog) (Hashtbl.length ps.ps_prov) (counts_json sources)
-           (counts_json probes)))
-    pids;
+           pid (json_escape row.lr_prog) row.lr_symbols (counts_json row.lr_by_source)
+           (counts_json row.lr_by_probe)))
+    rows;
   Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b (Printf.sprintf "  \"totals\": { %s },\n" (counts_json tot));
+  Buffer.add_string b
+    (Printf.sprintf "  \"totals\": { %s },\n" (counts_json (sorted_counts tot)));
   Buffer.add_string b
     (Printf.sprintf "  \"stats\": %s\n}" (Stats.to_json (Stats.snapshot ())));
   Buffer.contents b

@@ -42,7 +42,17 @@ val set_bind_now : t -> bool -> unit
     references left at the root, ...). *)
 val warnings : t -> string list
 
-(** {1 Introspection (tests and benches)} *)
+(** {1 Introspection (tests and benches)}
+
+    Post-mortem contract: a process's link state dies with it.  At exit
+    ldl removes it from its kernel-lifetime table and moves it onto the
+    exited {!Proc.t} (a {!Proc.remains} entry), so {!instances},
+    {!instance_at}, {!pending_image_relocs} and {!linkstat_proc_json}
+    answer exactly as they did at the moment of exit for as long as the
+    caller holds the record, and the state is freed when the caller
+    drops it.  {!linkstat_json} keeps one small row per exited pid
+    instead.  Only the shared segments, and the templates {!stable_sync}
+    persists, outlive the process. *)
 
 (** Instances mapped into a process, in load order. *)
 val instances : t -> Proc.t -> Modinst.t list
@@ -52,6 +62,12 @@ val instance_at : t -> Proc.t -> int -> Modinst.t option
 
 (** Retained image relocations still unresolved for this process. *)
 val pending_image_relocs : t -> Proc.t -> Hemlock_obj.Objfile.reloc list
+
+(** Processes whose link state ldl holds: those that exec'd a Hemlock
+    image, were forked from one, or attached, and have not exited.  A
+    count, not a timing, so tests can check exited processes leave no
+    state behind. *)
+val live_states : t -> int
 
 (** {1 Native-process attachment}
 
@@ -88,10 +104,12 @@ type sync_report = {
   sync_skipped : int;  (** files skipped on injected/FS failures *)
 }
 
-(** Persist every live link plan and every instantiated template's
-    symbol index into [/shared/.stable] through the journalled write
-    path.  An explicit sync point — the writes are billed like any
-    other file writes, so no implicit exec path ever calls this.  A
+(** Persist every live link plan and the symbol index of every
+    template an instance was built from since {!install} (exited
+    processes' included; the set survives reboots) into
+    [/shared/.stable] through the journalled write path.  An explicit
+    sync point — the writes are billed like any other file writes, so
+    no implicit exec path ever calls this.  A
     no-op (all zeros) when stable linking or the plan cache is off.
     Raises {!Hemlock_util.Fault.Crash} through (crash sweep). *)
 val stable_sync : t -> sync_report
@@ -110,6 +128,9 @@ val linkstat_proc_json : t -> Proc.t -> string
 
 (** The kernel-wide linkstat dump: per-process aggregates (symbol
     counts by source and probe), kernel totals, and the full
-    {!Hemlock_util.Stats} counter snapshot under ["stats"]. *)
+    {!Hemlock_util.Stats} counter snapshot under ["stats"].  Every
+    process that ever held link state has one row, in pid order: a live
+    one's is counted now, an exited one's was counted at its exit (the
+    row is all ldl keeps of it). *)
 val linkstat_json : t -> string
 

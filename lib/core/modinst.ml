@@ -5,7 +5,7 @@ module Fs = Hemlock_sfs.Fs
 module Path = Hemlock_sfs.Path
 module Fault = Hemlock_util.Fault
 
-exception Link_error of string
+exception Link_error = Reloc_engine.Link_error
 
 let errf fmt = Printf.ksprintf (fun s -> raise (Link_error s)) fmt
 
@@ -255,7 +255,8 @@ let load_template ctx path =
     match Link_plan.parse_obj ~seg bytes with
     | obj -> (obj, (Segment.id seg, Segment.version seg))
     | exception Failure msg -> errf "bad template %s: %s" path msg)
-  | exception Fs.Error _ -> errf "cannot read template %s" path
+  | exception Fs.Error { kind; _ } ->
+    errf "cannot read template %s: %s" path (Fs.err_kind_to_string kind)
 
 let public_instance ctx ~module_path ~scope =
   let fs = ctx.Search.fs in

@@ -14,6 +14,9 @@
 module Objfile = Hemlock_obj.Objfile
 module Segment = Hemlock_vm.Segment
 
+(** The linkers' one link-failure exception: {!Reloc_engine.Link_error}
+    under another name, so ldl's handlers also catch what instances
+    raise. *)
 exception Link_error of string
 
 (** A node of the scoped-linking DAG (§3, Figure 2).  Resolution works
@@ -110,6 +113,14 @@ end
     template uses $gp, or the image exceeds the 1 MB slot. *)
 val create_public_file :
   Search.ctx -> template_path:string -> obj:Objfile.t -> module_path:string -> int
+
+(** [load_template ctx path] reads and decodes a template, returning
+    it with its content identity (see [inst_src]): the backing
+    segment's ([Segment.id], [Segment.version]) at decode time.
+    @raise Link_error naming the {!Hemlock_sfs.Fs} error kind when the
+    file cannot be read, or the decoder's complaint when it does not
+    parse. *)
+val load_template : Search.ctx -> string -> Objfile.t * (int * int)
 
 (** [public_instance ctx ~module_path ~scope] builds the instance
     record for an existing module file (parsing its template for the

@@ -46,6 +46,7 @@ type t = {
   mutable binfmts : (string * (t -> Proc.t -> Bytes.t -> path:string -> int)) list;
   mutable fork_hooks : (parent:Proc.t -> child:Proc.t -> unit) list;
   mutable reboot_hooks : (unit -> unit) list;
+  mutable exit_hooks : (Proc.t -> unit) list;
   lock : Mutex.t;
       (* the kernel big lock, contended only in parallel mode: one
          domain at a time mutates the shared tables (fs, vfs, ipc,
@@ -79,6 +80,7 @@ let create () =
     binfmts = [];
     fork_hooks = [];
     reboot_hooks = [];
+    exit_hooks = [];
     lock = Mutex.create ();
     par = false;
   }
@@ -95,10 +97,12 @@ let with_kernel_lock t f =
   else f ()
 
 (* Hooks are kept newest-first (O(1) registration) and reversed into
-   registration order at each fork. *)
+   registration order at each fork or exit. *)
 let add_fork_hook t hook = t.fork_hooks <- hook :: t.fork_hooks
 
 let add_reboot_hook t hook = t.reboot_hooks <- hook :: t.reboot_hooks
+
+let add_exit_hook t hook = t.exit_hooks <- hook :: t.exit_hooks
 
 let fs t = t.fs
 
@@ -186,11 +190,13 @@ let drop t pid =
    no-release-on-exit rule).  A zombie is kept only while a live parent
    may still wait for it: the process takes its zombie children with
    it, and is reaped itself when its parent is 0 (pids start at 1, so
-   [find] misses), gone, or a zombie.  Nothing is billed: no syscall
-   was made. *)
+   [find] misses), gone, or a zombie.  The exit hooks then let layers
+   above the kernel free their per-process state the same way.  Nothing
+   is billed: no syscall was made. *)
 let exit_proc t proc code =
   proc.Proc.state <- Proc.Zombie code;
   As.drop_objects proc.Proc.space;
+  List.iter (fun hook -> hook proc) (List.rev t.exit_hooks);
   Vfs.close_all t.vfs ~pid:proc.Proc.pid;
   Vfs.release_locks t.vfs ~pid:proc.Proc.pid;
   List.iter
@@ -218,6 +224,7 @@ let spawn_native t ?(name = "native") ?(env = []) ?(cwd = Path.root) ?(parent = 
       body = Proc.Native { nstate = Proc.Done };
       brk = Layout.heap_base;
       comm = name;
+      remains = [];
     }
   in
   (match proc.Proc.body with
@@ -545,6 +552,7 @@ let fork_isa t proc =
         body = Proc.Isa child_cpu;
         brk = proc.Proc.brk;
         comm = proc.Proc.comm;
+        remains = [];
       }
     in
     (* The child inherits the parent's signal dispositions. *)

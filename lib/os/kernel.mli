@@ -166,6 +166,19 @@ val fork_isa : t -> Proc.t -> Proc.t
     to clone its per-process link state. *)
 val add_fork_hook : t -> (parent:Proc.t -> child:Proc.t -> unit) -> unit
 
+(** [add_exit_hook t h] runs [h proc] once for every process that exits
+    (normally, by a kill, or by a crash of its body), in registration
+    order.  It runs inside the exit itself: after the state turns to
+    [Zombie code] and the dead space has dropped its pager state, before
+    the pid is reaped.  A hook bills nothing (no syscall was made) and
+    must not block, fork or exec; in a parallel pass it runs under the
+    kernel lock, as the fork hooks do.  It is where a layer above the kernel
+    frees its per-process state: whatever post-mortem readers still
+    need goes onto the record's {!Proc.remains}, which lives exactly as
+    long as the caller's [Proc.t].  The dynamic linker uses this to
+    move each process's link state out of its kernel-lifetime table. *)
+val add_exit_hook : t -> (Proc.t -> unit) -> unit
+
 (** {2 Who reaps what, and when}
 
     A process that exits becomes [Zombie code] and stays in the table
@@ -182,7 +195,10 @@ val add_fork_hook : t -> (parent:Proc.t -> child:Proc.t -> unit) -> unit
     holds keeps [state = Zombie code] and its address space's mapping
     table, so exit codes and [--layout]-style post-mortem reads keep
     working.  At exit (and when exec replaces an image) the dead space
-    also drops its pager state ({!Hemlock_vm.Address_space.drop_objects}). *)
+    also drops its pager state ({!Hemlock_vm.Address_space.drop_objects}),
+    and at exit the {!add_exit_hook} hooks free the per-process state of
+    the layers above the kernel, leaving what post-mortem readers need
+    on {!Proc.remains}. *)
 
 (** The process with this pid, if it is still in the table: live, or a
     zombie a live parent has not yet reaped. *)

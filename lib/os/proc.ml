@@ -14,6 +14,8 @@ type native = { mutable nstate : nstate }
 
 type body = Isa of Hemlock_isa.Cpu.t | Native of native
 
+type remains = ..
+
 type t = {
   pid : int;
   parent : int;
@@ -24,6 +26,7 @@ type t = {
   mutable body : body;
   mutable brk : int;
   mutable comm : string;
+  mutable remains : remains list;
 }
 
 type _ Effect.t += Yield : unit Effect.t

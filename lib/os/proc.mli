@@ -33,6 +33,15 @@ type native = { mutable nstate : nstate }
 
 type body = Isa of Hemlock_isa.Cpu.t | Native of native
 
+(** What a subsystem layered above the kernel leaves on a process
+    record when the process exits, for post-mortem readers.  Each such
+    subsystem adds its own constructor (the dynamic linker moves its
+    per-process link state here), so the kernel names none of them.
+    The state lives exactly as long as the [Proc.t] that carries it:
+    once the kernel has reaped the pid and every caller has dropped the
+    record, the GC frees it. *)
+type remains = ..
+
 type t = {
   pid : int;
   parent : int;
@@ -45,6 +54,9 @@ type t = {
   mutable body : body;
   mutable brk : int;  (** heap break for sbrk *)
   mutable comm : string;  (** command name, for diagnostics *)
+  mutable remains : remains list;
+      (** empty while the process runs; filled by exit hooks
+          ({!Kernel.add_exit_hook}), newest first *)
 }
 
 (** Performed by native process code to let others run. *)

@@ -80,6 +80,9 @@ grep -qx "counter -> 3" "$smoke/out.txt"
 grep -qx -- "--- address space ---" "$smoke/out.txt"
 rows=$(grep -c '^ *{ "pid": ' "$smoke/out.txt")
 [ "$rows" -eq 3 ] || { echo "ldsc linkstat: $rows process rows, want 3"; exit 1; }
+# Each exited process's row must still carry its provenance counts.
+full=$(grep -cE '^ *\{ "pid": .*"n_symbols": [1-9][0-9]*,' "$smoke/out.txt" || true)
+[ "$full" -eq 3 ] || { echo "ldsc linkstat: $full of 3 rows have n_symbols > 0"; exit 1; }
 echo "ldsc post-mortem output intact"
 
 echo "== crash sweep (deterministic fault plans; gate: recovery fsck clean) =="

@@ -562,6 +562,53 @@ let naive_copy_breaks () =
   in
   check_bool "cp of a pointer-rich file breaks its pointers" true broken
 
+(* ----- link state dies with the process ----- *)
+
+(* A four-module lazy chain under /home: private instances only. *)
+let small_chain (k, ldl) =
+  Fs.mkdir (Kernel.fs k) "/home/lib";
+  ignore (Hemlock_apps.Modgen.install ldl ~dir:"/home/lib" ~modules:4);
+  Hemlock_apps.Modgen.link_driver ldl ~dir:"/home/lib" ~out:"/home/d/prog" ~used:3;
+  string_of_int (Hemlock_apps.Modgen.expected ~modules:4 ~used:3)
+
+let run_chain k want =
+  let proc, out = run_program k "/home/d/prog" in
+  check_string "driver output" want (String.trim out);
+  check_int "driver exits cleanly" 0 (exit_code proc);
+  proc
+
+(* Top-level programs are reaped at exit, and their link state goes with
+   them: ldl's table stays where one exec left it.  Counted, not timed. *)
+let exits_leave_no_link_state () =
+  let ((k, ldl) as m) = boot () in
+  let want = small_chain m in
+  ignore (run_chain k want);
+  let live = Ldl.live_states ldl in
+  for _ = 2 to 500 do
+    ignore (run_chain k want)
+  done;
+  check_int "link states after 500 top-level execs" live (Ldl.live_states ldl)
+
+(* An exited process's link state lives exactly as long as the caller's
+   [Proc.t]: it still answers post-mortem reads while held, and the GC
+   frees it (private instance segments included) once dropped. *)
+let exited_state_freed_with_proc () =
+  let ((k, ldl) as m) = boot () in
+  let want = small_chain m in
+  let weak = Weak.create 1 in
+  let[@inline never] run_and_drop () =
+    let proc = run_chain k want in
+    match List.find_opt (fun i -> not i.Modinst.inst_public) (Ldl.instances ldl proc) with
+    | Some inst -> Weak.set weak 0 (Some inst.Modinst.inst_seg)
+    | None -> Alcotest.fail "no private instance readable after exit"
+  in
+  run_and_drop ();
+  Gc.full_major ();
+  check_bool "private instance segment freed with the record" false (Weak.check weak 0);
+  (* the kernel and linker stay reachable (and working) across the GC *)
+  ignore (run_chain k want);
+  check_int "no link state left" 0 (Ldl.live_states ldl)
+
 let suite =
   [
     test "ldl: dynamic public write sharing" (write_sharing Sharing.Dynamic_public);
@@ -586,5 +633,7 @@ let suite =
     test "ldl: public veneers shared across processes" veneers_shared_across_processes;
     test "ldl: dlopen/dlsym" dlopen_dlsym;
     test "ldl: bind-now links the whole graph" bind_now_links_everything;
+    test "ldl: 500 exited programs leave no link state" exits_leave_no_link_state;
+    test "ldl: exited link state is freed with its Proc.t" exited_state_freed_with_proc;
     test "hemlock: naive cp of pointer files breaks (s5)" naive_copy_breaks;
   ]

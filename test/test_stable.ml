@@ -86,6 +86,39 @@ let prop_boot_equivalence =
     QCheck2.Gen.(int_range 3 10)
     boot_equivalence
 
+(* ----- templates of exited processes ------------------------------------ *)
+
+(* The 96-module deep driver runs to exit and is reaped before the sync:
+   [stable_sync] must still persist every template it decoded, and the
+   stable boot that follows must replay at the cold boot's billed cost. *)
+let sync_sees_exited_templates () =
+  with_stable true (fun () ->
+      let modules = 96 in
+      let first_exec stable =
+        let ((k, ldl) as m) = boot () in
+        let want = build_deep_chain m ~modules in
+        let proc, out0 = run_program k "/home/d/prog" in
+        check_string "seed exec" want (String.trim out0);
+        check_bool "seed process reaped" true (Kernel.find_proc k proc.Proc.pid = None);
+        check_int "no link state left" 0 (Ldl.live_states ldl);
+        if stable then
+          check_int "symbol indexes persisted"
+            (if !Link_plan.enabled then modules else 0)
+            (Ldl.stable_sync ldl).Ldl.sync_objs;
+        Stable_link.enabled := stable;
+        Kernel.reboot k;
+        Stable_link.enabled := true;
+        let out, d = exec_measured k "/home/d/prog" in
+        check_string "first exec after reboot" want out;
+        d
+      in
+      let d_stable = first_exec true in
+      let d_cold = first_exec false in
+      check_bool "stable boot bills as the cold boot" true (billed d_stable = billed d_cold);
+      if !Link_plan.enabled then
+        check_bool "stable plans replayed" true
+          (d_stable.Stats.stable_loads > 0 && d_cold.Stats.stable_loads = 0))
+
 (* ----- invalidation -------------------------------------------------------- *)
 
 (* Rewriting a module between boots moves its template content identity,
@@ -296,6 +329,7 @@ let janitor_reaps_stale_stable_files () =
 let suite =
   [
     prop_boot_equivalence;
+    test "stable sync: exited processes' templates persist" sync_sees_exited_templates;
     test "stable plans: module rewrite between boots falls back cold"
       rewrite_invalidates_stable_plans;
     test "stable plans: mapped rewrite rejects and reaps on replay"
